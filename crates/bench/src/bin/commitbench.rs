@@ -1,13 +1,12 @@
-//! Commit-ladder benchmark: rolling commit (ladder on, the default) vs the seed's
-//! batch-at-the-end completion (ladder off), plus commit-lag percentiles.
+//! Commit-ladder benchmark: throughput and commit-lag percentiles of the rolling
+//! commit ladder (always on: it is the engine's only termination protocol).
 //!
 //! Four workloads bracket the ladder's (and the delta machinery's) behavior:
 //!
 //! * `read-heavy` — a low-conflict block over a wide key universe with a zero-work
-//!   gas schedule, so the numbers isolate *engine* overhead: the ladder must not
-//!   cost throughput here (its drain is a watermark compare per loop iteration, and
-//!   the committed-prefix fast path removes descriptor recording for settled
-//!   reads);
+//!   gas schedule, so the numbers isolate *engine* overhead (the drain is a
+//!   watermark compare per loop iteration, and the committed-prefix fast path
+//!   removes descriptor recording for settled reads);
 //! * `long_chain` — every transaction depends on transaction 0 (mass
 //!   re-validation behind the hub; the wave bookkeeping's stress case);
 //! * `commit_stall` — a conflict-free block whose transaction 0 burns real gas:
@@ -20,9 +19,9 @@
 //!   in-flight writer. The binary asserts `delta-on tps >= delta-off tps` — the
 //!   CI bar for the aggregator machinery.
 //!
-//! Ladder-on rows additionally report the commit-lag distribution (p50/p99, in
-//! transactions), measured in a separate instrumented pass through a `CommitSink`
-//! so the throughput rows stay sink-free on both sides.
+//! The first three workloads' `ladder-on` rows report the commit-lag distribution
+//! (p50/p99, in transactions), measured in a separate instrumented pass through a
+//! `CommitSink` so the throughput rows stay sink-free.
 //!
 //! A fifth section is the **chain mode**: a stream of 100+ small blocks executed
 //! `barrier`-per-block (one `execute_block` per block, updates folded into
@@ -132,13 +131,13 @@ struct CommitbenchMeasurement {
     lag_p50: usize,
     lag_p99: usize,
     lag_max: usize,
-    /// Throughput ratio vs the row's baseline: `ladder-on / ladder-off`,
-    /// `delta-on / delta-off`, or `chained / barrier`; 1.0 on baseline rows.
-    speedup_vs_ladder_off: f64,
+    /// Throughput ratio vs the row's baseline: `delta-on / delta-off` or
+    /// `chained / barrier`; 1.0 on baseline rows and on rows without one.
+    speedup_vs_baseline: f64,
 }
 
 fn tsv_header() -> &'static str {
-    "workload\tmode\tthreads\tblocks\tblock_size\ttps\tavg_block_ms\tlag_p50\tlag_p99\tlag_max\tspeedup_vs_ladder_off"
+    "workload\tmode\tthreads\tblocks\tblock_size\ttps\tavg_block_ms\tlag_p50\tlag_p99\tlag_max\tspeedup_vs_baseline"
 }
 
 impl CommitbenchMeasurement {
@@ -155,7 +154,7 @@ impl CommitbenchMeasurement {
             self.lag_p50,
             self.lag_p99,
             self.lag_max,
-            self.speedup_vs_ladder_off,
+            self.speedup_vs_baseline,
         )
     }
 }
@@ -195,18 +194,11 @@ fn measure_workload(
     threads: usize,
     blocks: usize,
 ) {
-    let ladder_off = BlockStmBuilder::new(Vm::new(gas))
-        .concurrency(threads)
-        .rolling_commit(false)
-        .build();
-    let off_avg = timed_blocks(&ladder_off, block, storage, blocks);
-    drop(ladder_off);
-
-    let ladder_on = BlockStmBuilder::new(Vm::new(gas))
+    let executor = BlockStmBuilder::new(Vm::new(gas))
         .concurrency(threads)
         .build();
-    let on_avg = timed_blocks(&ladder_on, block, storage, blocks);
-    drop(ladder_on);
+    let avg = timed_blocks(&executor, block, storage, blocks);
+    drop(executor);
 
     // Separate instrumented pass for the lag distribution (one block is enough —
     // the workloads are deterministic; the sink adds its own cost, so the pass is
@@ -222,34 +214,21 @@ fn measure_workload(
     let mut lags = std::mem::take(&mut *sink.lags.lock());
     lags.sort_unstable();
 
-    for (mode, avg, lag_stats, speedup) in [
-        ("ladder-off", off_avg, None, 1.0),
-        ("ladder-on", on_avg, Some(&lags), off_avg / on_avg),
-    ] {
-        let (lag_p50, lag_p99, lag_max) = match lag_stats {
-            Some(lags) => (
-                percentile(lags, 50.0),
-                percentile(lags, 99.0),
-                lags.last().copied().unwrap_or(0),
-            ),
-            None => (0, 0, 0),
-        };
-        let row = CommitbenchMeasurement {
-            workload: name.to_string(),
-            mode: mode.to_string(),
-            threads,
-            blocks,
-            block_size: block.len(),
-            tps: block.len() as f64 / avg,
-            avg_block_ms: avg * 1_000.0,
-            lag_p50,
-            lag_p99,
-            lag_max,
-            speedup_vs_ladder_off: speedup,
-        };
-        println!("{}", row.tsv_row());
-        results.push(row);
-    }
+    let row = CommitbenchMeasurement {
+        workload: name.to_string(),
+        mode: "ladder-on".to_string(),
+        threads,
+        blocks,
+        block_size: block.len(),
+        tps: block.len() as f64 / avg,
+        avg_block_ms: avg * 1_000.0,
+        lag_p50: percentile(&lags, 50.0),
+        lag_p99: percentile(&lags, 99.0),
+        lag_max: lags.last().copied().unwrap_or(0),
+        speedup_vs_baseline: 1.0,
+    };
+    println!("{}", row.tsv_row());
+    results.push(row);
 }
 
 fn main() {
@@ -262,14 +241,14 @@ fn main() {
     let block_size = if quick { 400 } else { 2_000 };
 
     println!(
-        "# commitbench: rolling commit ladder on vs off, {threads} threads, \
+        "# commitbench: rolling commit ladder, {threads} threads, \
          {blocks} blocks per mode, {block_size} txns per block"
     );
     println!("{}", tsv_header());
     let mut results = Vec::new();
 
     // read-heavy: wide key universe, mostly reads, zero-work gas — pure engine
-    // overhead. The acceptance bar: ladder-on must not be slower here.
+    // overhead.
     let read_heavy = SyntheticWorkload {
         num_keys: 4 * block_size as u64,
         block_size,
@@ -362,7 +341,7 @@ fn main() {
             lag_p50: 0,
             lag_p99: 0,
             lag_max: 0,
-            speedup_vs_ladder_off: if use_deltas {
+            speedup_vs_baseline: if use_deltas {
                 mode_tps[1] / mode_tps[0]
             } else {
                 1.0
@@ -549,7 +528,7 @@ fn main() {
             lag_p50,
             lag_p99,
             lag_max,
-            speedup_vs_ladder_off: speedup,
+            speedup_vs_baseline: speedup,
         };
         println!("{}", row.tsv_row());
         results.push(row);

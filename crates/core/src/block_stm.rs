@@ -24,8 +24,7 @@ use block_stm_scheduler::{Scheduler, SchedulerOptions, Task, TaskKind};
 use block_stm_storage::Storage;
 use block_stm_sync::{Backoff, WorkerPool};
 use block_stm_vm::{
-    AbortCode, AccessHints, AggregatorValue, Transaction, TransactionOutput, TxnIndex, Version, Vm,
-    VmStatus,
+    AbortCode, AggregatorValue, Transaction, TransactionOutput, Version, Vm, VmStatus,
 };
 use parking_lot::Mutex;
 use std::any::Any;
@@ -118,30 +117,6 @@ impl BlockStmBuilder {
         self
     }
 
-    /// Toggles the scheduler's rolling commit ladder (on by default). Disabling it
-    /// restores the seed behavior — outputs materialize only when the whole block
-    /// settles — and is incompatible with streaming hooks.
-    pub fn rolling_commit(mut self, enabled: bool) -> Self {
-        self.options.rolling_commit = enabled;
-        self
-    }
-
-    /// Sets the multi-version memory shard count.
-    pub fn mvmemory_shards(mut self, shards: usize) -> Self {
-        self.options.mvmemory_shards = Some(shards);
-        self
-    }
-
-    /// Toggles hint-guided scheduling (off by default): declared access hints
-    /// pre-register dependencies, reorder initial executions
-    /// low-conflict-first, and — when every transaction's hints are exact —
-    /// skip validation descriptors for hint-proven private reads. Can also be
-    /// flipped at run time via [`BlockStm::set_hints_enabled`].
-    pub fn use_hints(mut self, enabled: bool) -> Self {
-        self.options.use_hints = enabled;
-        self
-    }
-
     /// Sets the mid-block abort-fallback threshold: once more than `aborts`
     /// validation aborts occur, the block halts with
     /// [`ExecutionError::AbortThresholdExceeded`] so the caller (the adaptive
@@ -214,10 +189,6 @@ impl BlockStmBuilder {
     /// and hooks, but driving a whole *stream* of blocks per dispatch — each
     /// block speculating against its predecessor's committed prefix through
     /// the cross-block frontier instead of waiting behind a per-block barrier.
-    /// Requires the rolling commit ladder (the default); a chain built with
-    /// `rolling_commit(false)` reports
-    /// [`ExecutionError::ChainRequiresRollingCommit`](crate::ExecutionError::ChainRequiresRollingCommit)
-    /// on use.
     pub fn build_chain(self) -> crate::ChainExecutor {
         let workers = self.options.effective_concurrency();
         crate::ChainExecutor {
@@ -239,7 +210,6 @@ impl BlockStmBuilder {
             // The calling thread participates as worker 0 (like rayon's
             // `in_place_scope`), so the pool itself needs one thread fewer.
             pool: WorkerPool::new(workers.saturating_sub(1)),
-            hints_enabled: AtomicBool::new(self.options.use_hints),
             options: self.options,
             sinks: self.sinks,
             limiter: self.limiter,
@@ -263,11 +233,6 @@ pub struct BlockStm {
     vm: Vm,
     options: ExecutorOptions,
     pool: WorkerPool,
-    /// Run-time switch for hint-guided scheduling, seeded from
-    /// [`ExecutorOptions::use_hints`]. Kept separate from `options` so the
-    /// adaptive executor can dispatch plain and hinted blocks through **one**
-    /// worker pool instead of maintaining two engines.
-    hints_enabled: AtomicBool,
     /// Streaming consumers of the committed prefix (type-erased; see
     /// [`BlockStmBuilder::commit_sink`]). Every sink sees every commit event,
     /// in attach order.
@@ -323,19 +288,6 @@ impl BlockStm {
         self.pool.epochs_run()
     }
 
-    /// Whether declared access hints currently guide the scheduler.
-    pub fn hints_enabled(&self) -> bool {
-        self.hints_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Flips hint-guided scheduling at run time, taking effect from the next
-    /// [`execute_block`](Self::execute_block) call. The adaptive executor uses
-    /// this to dispatch each block as plain or hinted Block-STM through the
-    /// same persistent worker pool.
-    pub fn set_hints_enabled(&self, enabled: bool) {
-        self.hints_enabled.store(enabled, Ordering::Relaxed);
-    }
-
     /// Executes `block` against the pre-block `storage`.
     ///
     /// Returns the committed state updates (equal to a sequential execution of the
@@ -355,9 +307,6 @@ impl BlockStm {
         let num_txns = block.len();
         let sinks = self.sinks.as_slice();
         let limiter = self.limiter.as_deref();
-        if (!sinks.is_empty() || limiter.is_some()) && !self.options.rolling_commit {
-            return Err(ExecutionError::HooksRequireRollingCommit);
-        }
         if num_txns == 0 {
             for sink in sinks {
                 sink.begin_block(0);
@@ -383,12 +332,6 @@ impl BlockStm {
         let mut guard = self.state.lock();
         let state = EngineState::<T::Key, T::Value>::prepare(&mut guard, &self.options, num_txns);
         state.metrics.record_block(num_txns);
-        if self.hints_enabled.load(Ordering::Relaxed) {
-            // Before any worker starts: park hinted transactions on their
-            // declared writers, install the low-conflict-first initial order
-            // and (when every hint is exact) build the read-privacy map.
-            plan_hints(state, block);
-        }
         for sink in sinks {
             sink.begin_block(num_txns);
         }
@@ -410,7 +353,6 @@ impl BlockStm {
             sinks,
             limiter,
             frontier: None,
-            hint_plan: state.hints.as_ref(),
             abort_count: &state.abort_count,
         };
         let job = |_worker_index: usize| {
@@ -442,15 +384,15 @@ impl BlockStm {
         let cut = drain.cut;
         let included = cut.unwrap_or(num_txns);
         debug_assert!(
-            !self.options.rolling_commit || cut.is_some() || drain.drained == num_txns,
-            "complete rolling block must have drained every commit"
+            cut.is_some() || drain.drained == num_txns,
+            "a complete block must have drained every commit"
         );
         // A limiter cut excludes transactions `cut..` entirely: the committed state
         // is the snapshot bounded below the cut, exactly a sequential execution of
         // the truncated block (higher transactions' speculative writes are filtered
-        // by the version bound). The storage base covers delta chains that were
-        // never folded (the rolling ladder folds committed chains, but with the
-        // ladder disabled resolution happens only here).
+        // by the version bound). The drain has materialized every committed delta
+        // chain below the bound; the storage base is the fold base for any that
+        // were not.
         let base_of = |key: &T::Key| storage.get(key).map(|value| value.to_aggregator());
         let updates = state
             .mvmemory
@@ -529,133 +471,9 @@ pub(crate) struct EngineState<K, V> {
     pub(crate) scheduler: Scheduler,
     pub(crate) outputs: Vec<OutputSlot<K, V>>,
     pub(crate) commit_drain: Mutex<DrainState<K, V>>,
-    /// The block's hint plan, installed by [`plan_hints`] when hint-guided
-    /// scheduling is enabled; `None` otherwise (and always in chained
-    /// execution).
-    pub(crate) hints: Option<HintPlan<K>>,
     /// Validation aborts observed this block, feeding the
     /// [`ExecutorOptions::abort_fallback_threshold`] escape hatch.
     pub(crate) abort_count: AtomicU64,
-}
-
-/// What [`plan_hints`] distilled from a block's declared access hints for use
-/// *during* execution (the scheduling side — pre-registered dependencies and
-/// the initial order — is installed directly into the scheduler).
-pub(crate) struct HintPlan<K> {
-    /// Per-transaction **exact** declared write-set, sorted and deduplicated
-    /// for binary search; `None` for transactions with missing or advisory
-    /// hints (nothing to enforce, no privacy contribution). Exactness is
-    /// enforced at record time: an undeclared write fails the block with
-    /// [`ExecutionError::UndeclaredWrite`] before the bogus version can land
-    /// in the multi-version memory.
-    exact_writes: Vec<Option<Vec<K>>>,
-    /// Lowest declared writer per key. Populated only when *every* transaction
-    /// in the block carries exact hints — a single unhinted (or advisory)
-    /// transaction could write anywhere, voiding the privacy proof.
-    lowest_writer: Option<HashMap<K, TxnIndex>>,
-}
-
-/// Distills the block's declared access hints into scheduler guidance and the
-/// per-block [`HintPlan`]:
-///
-/// 1. **Pre-registered dependencies** — a transaction whose declared reads
-///    overlap a lower transaction's declared writes starts parked on its
-///    highest such writer instead of paying for a doomed speculation.
-/// 2. **Initial order** — transactions are dispensed for their *first*
-///    execution in ascending declared-conflict degree (commit order is
-///    untouched), so low-conflict work fills the pipeline while hot-key chains
-///    resolve.
-/// 3. **Privacy map** — when every hint is exact, the lowest declared writer
-///    per key lets reads below it skip validation descriptors entirely.
-///
-/// Hints are advisory for 1–2: wrong hints only cost performance. Step 3 trades
-/// on exactness, which `try_execute` enforces before recording any output.
-fn plan_hints<T: Transaction>(state: &mut EngineState<T::Key, T::Value>, block: &[T]) {
-    let num_txns = block.len();
-    let hints: Vec<Option<AccessHints<T::Key>>> =
-        block.iter().map(|txn| txn.access_hints()).collect();
-    if hints.iter().all(|h| h.is_none()) {
-        return;
-    }
-
-    // Initial order: estimated conflict degree = for each declared key, how
-    // many *other* hint mentions touch it, summed. Stable sort keeps ties
-    // (including all unhinted transactions, degree 0) in index order.
-    let mut popularity: HashMap<&T::Key, u64> = HashMap::new();
-    for h in hints.iter().flatten() {
-        for key in h.reads.iter().chain(h.writes.iter()) {
-            *popularity.entry(key).or_insert(0) += 1;
-        }
-    }
-    let degree = |h: &Option<AccessHints<T::Key>>| -> u64 {
-        h.as_ref().map_or(0, |h| {
-            h.reads
-                .iter()
-                .chain(h.writes.iter())
-                .map(|key| popularity[key] - 1)
-                .sum()
-        })
-    };
-    let degrees: Vec<u64> = hints.iter().map(degree).collect();
-    let mut order: Vec<TxnIndex> = (0..num_txns).collect();
-    order.sort_by_key(|&txn_idx| degrees[txn_idx]);
-    if order
-        .iter()
-        .enumerate()
-        .any(|(pos, &txn_idx)| pos != txn_idx)
-    {
-        state.scheduler.set_initial_order(order);
-    }
-
-    // Pre-registered dependencies: park each transaction on the highest lower
-    // transaction that declares a write overlapping its declared reads.
-    let mut last_writer: HashMap<&T::Key, TxnIndex> = HashMap::new();
-    let mut preregistered = 0u64;
-    for (txn_idx, h) in hints.iter().enumerate() {
-        let Some(h) = h else { continue };
-        let blocker = h
-            .reads
-            .iter()
-            .filter_map(|key| last_writer.get(key).copied())
-            .max();
-        if let Some(blocker) = blocker {
-            if state.scheduler.preregister_dependency(txn_idx, blocker) {
-                preregistered += 1;
-            }
-        }
-        for key in &h.writes {
-            last_writer.insert(key, txn_idx);
-        }
-    }
-    state.metrics.record_hint_preregistered_deps(preregistered);
-
-    // Privacy map: sound only when every transaction's hints are exact.
-    let all_exact = hints.iter().all(|h| h.as_ref().is_some_and(|h| h.exact));
-    let lowest_writer = all_exact.then(|| {
-        let mut lowest: HashMap<T::Key, TxnIndex> = HashMap::new();
-        for (txn_idx, h) in hints.iter().enumerate() {
-            for key in h.as_ref().into_iter().flat_map(|h| h.writes.iter()) {
-                lowest.entry(key.clone()).or_insert(txn_idx);
-            }
-        }
-        lowest
-    });
-    let exact_writes = hints
-        .into_iter()
-        .map(|h| match h {
-            Some(h) if h.exact => {
-                let mut writes = h.writes;
-                writes.sort_unstable();
-                writes.dedup();
-                Some(writes)
-            }
-            _ => None,
-        })
-        .collect();
-    state.hints = Some(HintPlan {
-        exact_writes,
-        lowest_writer,
-    });
 }
 
 impl<K, V> EngineState<K, V>
@@ -666,20 +484,15 @@ where
     pub(crate) fn new(num_txns: usize, options: &ExecutorOptions) -> Self {
         Self {
             metrics: ExecutionMetrics::new(),
-            mvmemory: match options.mvmemory_shards {
-                Some(shards) => MVMemory::with_shards(num_txns, shards),
-                None => MVMemory::new(num_txns),
-            },
+            mvmemory: MVMemory::new(num_txns),
             scheduler: Scheduler::with_options(
                 num_txns,
                 SchedulerOptions {
                     task_return_optimization: options.task_return_optimization,
-                    rolling_commit: options.rolling_commit,
                 },
             ),
             outputs: (0..num_txns).map(|_| Mutex::new(None)).collect(),
             commit_drain: Mutex::new(DrainState::default()),
-            hints: None,
             abort_count: AtomicU64::new(0),
         }
     }
@@ -695,7 +508,6 @@ where
         }
         self.outputs.resize_with(num_txns, || Mutex::new(None));
         *self.commit_drain.get_mut() = DrainState::default();
-        self.hints = None;
         *self.abort_count.get_mut() = 0;
     }
 
@@ -743,10 +555,6 @@ pub(crate) struct Worker<'a, T: Transaction, S> {
     /// publishes this block's committed writes into it. `None` for single-block
     /// execution — every chain-specific branch below is compiled around this.
     pub(crate) frontier: Option<&'a FrontierOverlay<T::Key, T::Value>>,
-    /// Hint-guided execution only: the block's [`HintPlan`] (exactness
-    /// enforcement + read-privacy map). `None` when hints are off and always
-    /// in chained execution.
-    pub(crate) hint_plan: Option<&'a HintPlan<T::Key>>,
     /// Validation-abort tally feeding the
     /// [`ExecutorOptions::abort_fallback_threshold`] escape hatch.
     pub(crate) abort_count: &'a AtomicU64,
@@ -785,7 +593,6 @@ where
         let cache = RefCell::new(LocationCache::new());
         let mut task: Option<Task> = None;
         let mut backoff = Backoff::new();
-        let rolling = self.options.rolling_commit;
         let mut drained_seen = 0usize;
         while !self.scheduler.done() {
             task = match task {
@@ -817,27 +624,23 @@ where
                     next
                 }
             };
-            if rolling {
-                // Opportunistic drain, gated on ladder movement: one lock-free
-                // watermark load per iteration, and a drain attempt only when the
-                // ladder advanced past what this worker last observed. The cursor
-                // advances only when the drain actually ran — a failed try_lock
-                // must not mark the new prefix as seen, or a commit landing just
-                // as the current drainer exits would sit undelivered until the
-                // next ladder movement.
-                let watermark = self.scheduler.committed_prefix();
-                if watermark > drained_seen {
-                    if let Some(drained) = self.drain_commits(false) {
-                        drained_seen = drained;
-                    }
+            // Opportunistic drain, gated on ladder movement: one lock-free
+            // watermark load per iteration, and a drain attempt only when the
+            // ladder advanced past what this worker last observed. The cursor
+            // advances only when the drain actually ran — a failed try_lock
+            // must not mark the new prefix as seen, or a commit landing just
+            // as the current drainer exits would sit undelivered until the
+            // next ladder movement.
+            let watermark = self.scheduler.committed_prefix();
+            if watermark > drained_seen {
+                if let Some(drained) = self.drain_commits(false) {
+                    drained_seen = drained;
                 }
             }
         }
-        if rolling {
-            // The block is done (or halted): drain whatever the ladder committed,
-            // waiting for the lock so nothing is left behind.
-            self.drain_commits(true);
-        }
+        // The block is done (or halted): drain whatever the ladder committed,
+        // waiting for the lock so nothing is left behind.
+        self.drain_commits(true);
         let stats = cache.borrow().stats();
         self.metrics
             .record_location_cache(stats.hits, stats.interner_hits, stats.interner_misses);
@@ -859,7 +662,6 @@ where
     pub(crate) fn run_stint(&self, budget: usize, abort: &AtomicBool) -> (bool, bool) {
         let cache = RefCell::new(LocationCache::new());
         let mut task: Option<Task> = None;
-        let rolling = self.options.rolling_commit;
         let mut drained_seen = 0usize;
         let mut progressed = false;
         let mut iterations = 0usize;
@@ -892,13 +694,11 @@ where
                 ) => self.needs_reexecution(validation),
                 None => unreachable!("loop invariant: a task is in hand here"),
             };
-            if rolling {
-                let watermark = self.scheduler.committed_prefix();
-                if watermark > drained_seen {
-                    if let Some(drained) = self.drain_commits(false) {
-                        progressed = progressed || drained > drained_seen;
-                        drained_seen = drained;
-                    }
+            let watermark = self.scheduler.committed_prefix();
+            if watermark > drained_seen {
+                if let Some(drained) = self.drain_commits(false) {
+                    progressed = progressed || drained > drained_seen;
+                    drained_seen = drained;
                 }
             }
         }
@@ -1122,10 +922,6 @@ where
                 // blocks' committed overlay. The overlay is sealed (frozen) for
                 // this block exactly when its commit gate has been opened.
                 view = view.with_frontier(frontier, self.scheduler.commit_gate_open());
-            } else if let Some(lowest_writer) =
-                self.hint_plan.and_then(|plan| plan.lowest_writer.as_ref())
-            {
-                view = view.with_hint_privacy(lowest_writer);
             }
             self.metrics.record_incarnation();
             match self.vm.execute(txn, &view) {
@@ -1145,39 +941,11 @@ where
                     self.metrics
                         .record_committed_prefix_reads(view.committed_final_reads());
                     self.metrics.record_frontier_reads(view.frontier_reads());
-                    self.metrics
-                        .record_hints_skipped_validations(view.hint_skipped_reads());
                     let (resolutions, chain_len_max) = view.delta_resolution_stats();
                     self.metrics
                         .record_delta_resolutions(resolutions, chain_len_max);
                     if output.abort_code == Some(AbortCode::DeltaOverflow) {
                         self.metrics.record_delta_overflow_abort();
-                    }
-                    // Exactness enforcement, BEFORE anything is recorded: a
-                    // transaction that claimed an exact write-set but wrote (or
-                    // delta'd) outside it fails the whole block — never letting
-                    // the undeclared version into the multi-version memory,
-                    // which is what keeps the hint-privacy descriptor skips
-                    // sound.
-                    if let Some(declared) = self
-                        .hint_plan
-                        .and_then(|plan| plan.exact_writes[txn_idx].as_deref())
-                    {
-                        let undeclared = output
-                            .writes
-                            .iter()
-                            .map(|write| &write.key)
-                            .chain(output.deltas.iter().map(|(key, _)| key))
-                            .any(|key| declared.binary_search(key).is_err());
-                        if undeclared {
-                            let mut drain = self.commit_drain.lock();
-                            if drain.failure.is_none() {
-                                drain.failure = Some(ExecutionError::UndeclaredWrite { txn_idx });
-                            }
-                            drop(drain);
-                            self.scheduler.halt();
-                            return None;
-                        }
                     }
                     let read_set = view.take_read_set();
                     let write_set: Vec<(T::Key, T::Value)> = output
@@ -1406,9 +1174,6 @@ mod tests {
                 .concurrency(4)
                 .dependency_recheck(false)
                 .task_return_optimization(false),
-            BlockStmBuilder::new(Vm::for_testing())
-                .concurrency(4)
-                .mvmemory_shards(2),
         ] {
             let parallel = builder.build();
             let sequential = SequentialExecutor::new(Vm::for_testing());
@@ -1716,37 +1481,6 @@ mod tests {
             }
             other => panic!("expected HookStateModelMismatch, got {other:?}"),
         }
-        // Hooks without the ladder are refused up front.
-        let limiter = Arc::new(crate::hooks::BlockGasLimit::new(10));
-        let executor = BlockStmBuilder::new(Vm::for_testing())
-            .concurrency(2)
-            .rolling_commit(false)
-            .block_limiter::<u64, u64>(limiter)
-            .build();
-        let storage = storage_with_keys(2);
-        let block = vec![SyntheticTransaction::increment(0)];
-        match executor.execute_block(&block, &storage) {
-            Err(ExecutionError::HooksRequireRollingCommit) => {}
-            other => panic!("expected HooksRequireRollingCommit, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn rolling_commit_disabled_still_matches_sequential() {
-        let storage = storage_with_keys(4);
-        let block: Vec<_> = (0..60)
-            .map(|i| SyntheticTransaction::transfer(i % 4, (i + 1) % 4, i))
-            .collect();
-        let ladder_off = BlockStmBuilder::new(Vm::for_testing())
-            .concurrency(4)
-            .rolling_commit(false)
-            .build();
-        let output = ladder_off.execute_block(&block, &storage).unwrap();
-        let expected = SequentialExecutor::new(Vm::for_testing())
-            .execute_block(&block, &storage)
-            .unwrap();
-        assert_eq!(output.updates, expected.updates);
-        assert_eq!(output.metrics.committed_txns, 0, "no ladder, no commits");
     }
 
     #[test]
@@ -1775,129 +1509,10 @@ mod tests {
     }
 
     #[test]
-    fn hinted_execution_matches_sequential() {
-        // SyntheticTransaction emits exact hints; hinting must change only the
-        // schedule, never the committed state.
-        let storage = storage_with_keys(8);
-        let block: Vec<_> = (0..120)
-            .map(|i| {
-                SyntheticTransaction::transfer(i % 8, (i * 3) % 8, i)
-                    .with_conditional_writes(vec![(i * 5) % 8 + 100])
-            })
-            .collect();
-        for threads in [1, 2, 4] {
-            let hinted = BlockStmBuilder::new(Vm::for_testing())
-                .concurrency(threads)
-                .use_hints(true)
-                .build();
-            let sequential = SequentialExecutor::new(Vm::for_testing());
-            let output = hinted.execute_block(&block, &storage).unwrap();
-            let expected = sequential.execute_block(&block, &storage).unwrap();
-            assert_eq!(output.updates, expected.updates, "threads={threads}");
-            assert!(
-                output.metrics.hint_preregistered_deps > 0,
-                "the transfer chains overlap: some dependency must be pre-registered"
-            );
-        }
-    }
-
-    #[test]
-    fn hinted_hot_key_chain_executes_each_txn_exactly_once() {
-        // A fully sequential RMW chain with exact hints: every transaction is
-        // pre-registered on its predecessor, so nothing speculates wrongly —
-        // zero failed validations and exactly one incarnation per transaction,
-        // at any concurrency. This is the scheduling win the adaptivebench
-        // strict-win row measures against the unhinted engine.
-        let n = 100u64;
-        let storage = storage_with_keys(1);
-        let block: Vec<_> = (0..n).map(|_| SyntheticTransaction::increment(0)).collect();
-        let hinted = BlockStmBuilder::new(Vm::for_testing())
-            .concurrency(2)
-            .use_hints(true)
-            .build();
-        let sequential = SequentialExecutor::new(Vm::for_testing());
-        let output = hinted.execute_block(&block, &storage).unwrap();
-        let expected = sequential.execute_block(&block, &storage).unwrap();
-        assert_eq!(output.updates, expected.updates);
-        assert_eq!(output.metrics.validation_failures, 0);
-        assert_eq!(output.metrics.incarnations, n);
-        assert_eq!(output.metrics.hint_preregistered_deps, n - 1);
-    }
-
-    #[test]
-    fn exact_hints_skip_validation_descriptors_for_private_reads() {
-        use block_stm_vm::HintedTransaction;
-        // Disjoint per-transaction keys, with dummy shared read hints inflating
-        // the first half's declared-conflict degree: the initial order runs
-        // transactions 4..8 first, i.e. *above* the commit watermark, where
-        // their reads are speculative — and hint-proven private (no lower
-        // transaction declares a write to their keys), so no validation
-        // descriptors are captured. Deterministic even at concurrency 1.
-        let storage = storage_with_keys(8);
-        let block: Vec<_> = (0..8u64)
-            .map(|i| {
-                let reads = if i < 4 { vec![900, 901, i] } else { vec![i] };
-                HintedTransaction::new(
-                    SyntheticTransaction::increment(i),
-                    Some(AccessHints::exact(reads, vec![i])),
-                )
-            })
-            .collect();
-        let hinted = BlockStmBuilder::new(Vm::for_testing())
-            .concurrency(1)
-            .use_hints(true)
-            .build();
-        let output = hinted.execute_block(&block, &storage).unwrap();
-        assert!(
-            output.metrics.hints_skipped_validations >= 4,
-            "the reordered tail's private reads must skip their descriptors \
-             (skipped: {})",
-            output.metrics.hints_skipped_validations
-        );
-        let unhinted = BlockStmBuilder::new(Vm::for_testing())
-            .concurrency(2)
-            .build();
-        let reference = unhinted.execute_block(&block, &storage).unwrap();
-        assert_eq!(output.updates, reference.updates);
-        assert_eq!(reference.metrics.hints_skipped_validations, 0);
-    }
-
-    #[test]
-    fn lying_exact_hints_fail_with_undeclared_write() {
-        use block_stm_vm::HintedTransaction;
-        // Transaction 1 writes key 1 but its (lying) exact hints declare only
-        // key 9: the engine must refuse the block before the undeclared write
-        // can corrupt the hint-privacy fast path.
-        let storage = storage_with_keys(4);
-        let block = vec![
-            HintedTransaction::new(
-                SyntheticTransaction::put(0, 5),
-                Some(AccessHints::exact(vec![], vec![0])),
-            ),
-            HintedTransaction::new(
-                SyntheticTransaction::put(1, 7),
-                Some(AccessHints::exact(vec![], vec![9])),
-            ),
-        ];
-        let hinted = BlockStmBuilder::new(Vm::for_testing())
-            .concurrency(2)
-            .use_hints(true)
-            .build();
-        match hinted.execute_block(&block, &storage) {
-            Err(ExecutionError::UndeclaredWrite { txn_idx }) => assert_eq!(txn_idx, 1),
-            other => panic!("expected UndeclaredWrite, got {other:?}"),
-        }
-        // The executor survives and runs honest blocks afterwards.
-        let honest = vec![SyntheticTransaction::put(0, 5)];
-        let output = hinted.execute_block(&honest, &storage).unwrap();
-        assert_eq!(output.num_txns(), 1);
-    }
-
-    #[test]
     fn wrong_advisory_hints_only_cost_performance() {
-        use block_stm_vm::HintedTransaction;
-        // Advisory hints pointing at entirely wrong keys: scheduling guidance
-        // is garbage, but the committed state must still match sequential.
+        use block_stm_vm::{AccessHints, HintedTransaction};
+        // Advisory hints pointing at entirely wrong keys: Block-STM never
+        // reads declared hints, so the committed state must match sequential.
         let storage = storage_with_keys(4);
         let block: Vec<_> = (0..40)
             .map(|i| {
@@ -1910,77 +1525,33 @@ mod tests {
                 )
             })
             .collect();
-        let hinted = BlockStmBuilder::new(Vm::for_testing())
+        let executor = BlockStmBuilder::new(Vm::for_testing())
             .concurrency(4)
-            .use_hints(true)
             .build();
         let sequential = SequentialExecutor::new(Vm::for_testing());
-        let output = hinted.execute_block(&block, &storage).unwrap();
+        let output = executor.execute_block(&block, &storage).unwrap();
         let expected = sequential.execute_block(&block, &storage).unwrap();
         assert_eq!(output.updates, expected.updates);
-        assert_eq!(
-            output.metrics.hints_skipped_validations, 0,
-            "advisory hints must never unlock the privacy fast path"
-        );
     }
 
     #[test]
     fn abort_threshold_halts_the_block_with_a_typed_error() {
-        use block_stm_vm::HintedTransaction;
-        // Deterministic setup, even single-threaded: advisory hints give the
-        // conflicting head transactions a higher declared-conflict degree than
-        // the tail one, so the initial order runs txn 2 first; transactions 0
-        // and 1 then overwrite the key it read, its validation fails, and the
-        // zero-abort budget trips.
-        let storage = storage_with_keys(1);
-        let block = vec![
-            HintedTransaction::new(
-                SyntheticTransaction::increment(0),
-                Some(AccessHints::advisory(vec![100], vec![])),
-            ),
-            HintedTransaction::new(
-                SyntheticTransaction::increment(0),
-                Some(AccessHints::advisory(vec![100], vec![])),
-            ),
-            HintedTransaction::new(SyntheticTransaction::increment(0), None),
-        ];
+        // The colliding pair fails exactly one validation (the reader's first
+        // incarnation read key 0 before the held writer wrote it), which trips
+        // the zero-abort budget.
+        let storage = storage_with_keys(2);
         let executor = BlockStmBuilder::new(Vm::for_testing())
-            .concurrency(1)
-            .use_hints(true)
+            .concurrency(2)
             .abort_fallback_threshold(0)
             .build();
-        match executor.execute_block(&block, &storage) {
+        match executor.execute_block(&crate::test_support::colliding_pair(), &storage) {
             Err(ExecutionError::AbortThresholdExceeded { aborts }) => assert!(aborts >= 1),
             other => panic!("expected AbortThresholdExceeded, got {other:?}"),
         }
         // The executor survives; an uncontended block sails through.
-        let calm: Vec<_> = (0..4)
-            .map(|i| HintedTransaction::unhinted(SyntheticTransaction::put(i, i)))
-            .collect();
+        let calm: Vec<_> = (0..4).map(|i| SyntheticTransaction::put(i, i)).collect();
         let output = executor.execute_block(&calm, &storage).unwrap();
         assert_eq!(output.num_txns(), 4);
-    }
-
-    #[test]
-    fn hints_toggle_at_runtime() {
-        let storage = storage_with_keys(1);
-        let block: Vec<_> = (0..30)
-            .map(|_| SyntheticTransaction::increment(0))
-            .collect();
-        let executor = BlockStmBuilder::new(Vm::for_testing())
-            .concurrency(2)
-            .build();
-        assert!(!executor.hints_enabled());
-        let unhinted = executor.execute_block(&block, &storage).unwrap();
-        assert_eq!(unhinted.metrics.hint_preregistered_deps, 0);
-        executor.set_hints_enabled(true);
-        assert!(executor.hints_enabled());
-        let hinted = executor.execute_block(&block, &storage).unwrap();
-        assert_eq!(hinted.metrics.hint_preregistered_deps, 29);
-        assert_eq!(unhinted.updates, hinted.updates);
-        executor.set_hints_enabled(false);
-        let off_again = executor.execute_block(&block, &storage).unwrap();
-        assert_eq!(off_again.metrics.hint_preregistered_deps, 0);
     }
 
     #[test]

@@ -386,8 +386,7 @@ impl<K, V> ChainControl<K, V> {
 ///
 /// Built once via [`BlockStmBuilder::build_chain`](crate::BlockStmBuilder::build_chain)
 /// and reused chain after chain (worker threads park between chains, the
-/// two-slot arena is reset in place). Requires the rolling commit ladder;
-/// attached [`CommitSink`](crate::CommitSink)s and the
+/// two-slot arena is reset in place). Attached [`CommitSink`](crate::CommitSink)s and the
 /// [`BlockLimiter`](crate::BlockLimiter) see blocks strictly in stream order.
 pub struct ChainExecutor {
     pub(crate) vm: Vm,
@@ -443,7 +442,7 @@ impl ChainExecutor {
         T: Transaction,
         S: Storage<T::Key, T::Value>,
     {
-        if blocks.is_empty() && self.options.rolling_commit {
+        if blocks.is_empty() {
             return Ok(ChainOutput {
                 blocks: Vec::new(),
                 updates: Vec::new(),
@@ -483,9 +482,6 @@ impl ChainExecutor {
         T: Transaction,
         S: Storage<T::Key, T::Value>,
     {
-        if !self.options.rolling_commit {
-            return Err(ExecutionError::ChainRequiresRollingCommit);
-        }
         let mut guard = self.state.lock();
         let arena = ChainArena::<T::Key, T::Value>::prepare(&mut guard, &self.options);
         arena.chain_metrics.reset();
@@ -642,9 +638,8 @@ where
             sinks: self.sinks,
             limiter: self.limiter,
             frontier: Some(self.frontier),
-            // Hints and the abort-fallback escape hatch are single-block
-            // concerns; chained execution runs unhinted.
-            hint_plan: None,
+            // The abort-fallback escape hatch is a single-block concern: the
+            // worker never checks this tally when a frontier is attached.
             abort_count: &state.abort_count,
         }
     }
@@ -1036,19 +1031,6 @@ mod tests {
             .unwrap();
         assert_eq!(output.num_blocks(), 0);
         assert!(output.updates.is_empty());
-    }
-
-    #[test]
-    fn chain_requires_rolling_commit() {
-        let chain = BlockStmBuilder::new(Vm::for_testing())
-            .rolling_commit(false)
-            .build_chain();
-        let storage = storage_with_keys(1);
-        let blocks = vec![vec![SyntheticTransaction::increment(0)]];
-        assert!(matches!(
-            chain.execute_chain(&blocks, &storage),
-            Err(ExecutionError::ChainRequiresRollingCommit)
-        ));
     }
 
     #[test]

@@ -4,9 +4,8 @@
 /// [`BlockStmBuilder`](crate::BlockStmBuilder)).
 ///
 /// The defaults reproduce the configuration evaluated in the paper plus the rolling
-/// commit ladder; the individual switches exist so the ablation benchmarks can
-/// quantify each optimization (see DESIGN.md, "Ablations", and the `commitbench`
-/// ladder-on/off comparison).
+/// commit ladder, which is always on; the remaining switches exist so the ablation
+/// benchmarks (`crates/bench/benches/ablation.rs`) can quantify each optimization.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutorOptions {
     /// Number of worker threads. `0` (the default) means "use all available
@@ -21,26 +20,6 @@ pub struct ExecutorOptions {
     /// directly back to the calling thread instead of routing it through the shared
     /// counters (the paper's cases 1(b)/2(c) optimization). Default: `true`.
     pub task_return_optimization: bool,
-    /// Run the scheduler's rolling commit ladder: commit a growing prefix of the
-    /// block while the tail speculates, freeze committed entries in the
-    /// multi-version memory for cheap final reads, stream outputs to a
-    /// [`CommitSink`](crate::CommitSink), and allow a
-    /// [`BlockLimiter`](crate::BlockLimiter) to cut the block at a committed
-    /// boundary. Disabled only by the `commitbench` ablation. Default: `true`.
-    pub rolling_commit: bool,
-    /// Shard count of the multi-version memory's concurrent hash map. `None` uses the
-    /// default (256).
-    pub mvmemory_shards: Option<usize>,
-    /// Use declared access hints ([`Transaction::access_hints`]) to guide the
-    /// scheduler: pre-register dependencies on declared read/write overlaps,
-    /// reorder initial executions low-conflict-first, and (when every hint is
-    /// exact) skip validation descriptors for hint-proven private reads. Hints
-    /// are advisory for scheduling; correctness never depends on them unless
-    /// they claim exactness, which is then enforced at record time. Default:
-    /// `false`.
-    ///
-    /// [`Transaction::access_hints`]: block_stm_vm::Transaction::access_hints
-    pub use_hints: bool,
     /// Halt the block with
     /// [`AbortThresholdExceeded`](crate::ExecutionError::AbortThresholdExceeded)
     /// once more than this many validation aborts have occurred — the adaptive
@@ -55,9 +34,6 @@ impl Default for ExecutorOptions {
             concurrency: 0,
             dependency_recheck: true,
             task_return_optimization: true,
-            rolling_commit: true,
-            mvmemory_shards: None,
-            use_hints: false,
             abort_fallback_threshold: None,
         }
     }
@@ -81,24 +57,6 @@ impl ExecutorOptions {
     /// Builder: toggles the task-return optimization.
     pub fn task_return_optimization(mut self, enabled: bool) -> Self {
         self.task_return_optimization = enabled;
-        self
-    }
-
-    /// Builder: toggles the rolling commit ladder.
-    pub fn rolling_commit(mut self, enabled: bool) -> Self {
-        self.rolling_commit = enabled;
-        self
-    }
-
-    /// Builder: sets the multi-version memory shard count.
-    pub fn mvmemory_shards(mut self, shards: usize) -> Self {
-        self.mvmemory_shards = Some(shards);
-        self
-    }
-
-    /// Builder: toggles hint-guided scheduling.
-    pub fn use_hints(mut self, enabled: bool) -> Self {
-        self.use_hints = enabled;
         self
     }
 
@@ -132,10 +90,7 @@ mod tests {
         let options = ExecutorOptions::default();
         assert!(options.dependency_recheck);
         assert!(options.task_return_optimization);
-        assert!(options.rolling_commit, "commit ladder is on by default");
         assert_eq!(options.concurrency, 0);
-        assert!(options.mvmemory_shards.is_none());
-        assert!(!options.use_hints, "hints are opt-in");
         assert!(options.abort_fallback_threshold.is_none());
     }
 
@@ -161,15 +116,9 @@ mod tests {
         let options = ExecutorOptions::default()
             .dependency_recheck(false)
             .task_return_optimization(false)
-            .rolling_commit(false)
-            .mvmemory_shards(64)
-            .use_hints(true)
             .abort_fallback_threshold(16);
         assert!(!options.dependency_recheck);
         assert!(!options.task_return_optimization);
-        assert!(!options.rolling_commit);
-        assert_eq!(options.mvmemory_shards, Some(64));
-        assert!(options.use_hints);
         assert_eq!(options.abort_fallback_threshold, Some(16));
     }
 }

@@ -49,8 +49,7 @@ pub enum ExecutionError {
     },
     /// A transaction wrote a location missing from its declared write-set — the
     /// declaration under-approximates the writes, which breaks the contract of
-    /// engines that pre-build version chains from it (Bohm) or skip validation
-    /// for hint-private reads (hinted Block-STM).
+    /// engines that pre-build version chains from it (Bohm).
     UndeclaredWrite {
         /// Index of the offending transaction.
         txn_idx: usize,
@@ -91,15 +90,6 @@ pub enum ExecutionError {
         /// Index of the transaction that produced a delta-set.
         txn_idx: usize,
     },
-    /// A streaming hook was attached but the rolling commit ladder is disabled
-    /// (`rolling_commit(false)`): without the ladder there is no committed prefix to
-    /// stream or cut.
-    HooksRequireRollingCommit,
-    /// Chained execution was requested with the rolling commit ladder disabled.
-    /// The chain executor pipelines blocks through the ladder's committed
-    /// watermark (the cross-block frontier) and its commit gate; without the
-    /// ladder there is no frontier to speculate against.
-    ChainRequiresRollingCommit,
     /// Any other violated engine invariant (please report it as a bug).
     Internal {
         /// What went wrong.
@@ -234,16 +224,6 @@ impl fmt::Display for ExecutionError {
                 f,
                 "transaction {txn_idx} produced commutative delta writes, which this \
                  engine's pre-declared placeholder chains cannot represent"
-            ),
-            ExecutionError::HooksRequireRollingCommit => write!(
-                f,
-                "streaming hooks (CommitSink / BlockLimiter) require the rolling \
-                 commit ladder; remove `rolling_commit(false)` or the hooks"
-            ),
-            ExecutionError::ChainRequiresRollingCommit => write!(
-                f,
-                "chained execution requires the rolling commit ladder (its committed \
-                 watermark is the cross-block frontier); remove `rolling_commit(false)`"
             ),
             ExecutionError::Internal { detail } => write!(f, "engine invariant violated: {detail}"),
         }

@@ -116,9 +116,9 @@
 //! # let _ = BlockGasLimit::new(1); // linked above for the doc narrative
 //! ```
 //!
-//! The ladder is on by default; `BlockStmBuilder::rolling_commit(false)` restores
-//! the batch-at-the-end behavior for ablation (the `commitbench` harness compares
-//! the two).
+//! The ladder is always on: it is also the engine's only termination protocol.
+//! The block is done exactly when the committed prefix covers it (or a halt cuts
+//! it short), so there is no separate completion check to keep in step with it.
 //!
 //! ## Chained execution: pipelining across blocks
 //!
@@ -145,21 +145,19 @@
 //! README's "Delta writes" section has a doctested walkthrough; the
 //! `block-stm-mvmemory` crate docs carry the safety argument.
 //!
-//! ## Hint-guided scheduling and adaptive engine selection
+//! ## Adaptive engine selection
 //!
-//! Transactions may declare optional [`AccessHints`] (read/write sets, possibly
-//! imprecise). With [`BlockStmBuilder::use_hints`] the scheduler pre-registers
-//! dependencies on declared read-over-write overlaps, reorders initial
-//! executions low-conflict-first (commit order is untouched), and — when every
-//! hint in the block is exact — skips validation descriptors for hint-proven
-//! private reads. Hints are advisory for scheduling; correctness never depends
-//! on them unless they claim exactness, which is then enforced at record time
-//! ([`ExecutionError::UndeclaredWrite`]). On top of this, [`AdaptiveExecutor`]
-//! picks sequential / parallel / hinted execution **per block** from cheap
-//! signals and carries a mid-block escape hatch back to sequential
+//! Block-STM never needs declared read/write sets: it estimates write-sets at
+//! run time from the previous incarnation. Transactions may still declare
+//! optional [`AccessHints`] (read/write sets, possibly imprecise), and
+//! [`AdaptiveExecutor`] reads them — never the engine — to pick sequential or
+//! parallel execution **per block** from cheap signals: the declared-overlap
+//! conflict estimate, the block length and the previous block's abort rate. It
+//! also carries a mid-block escape hatch back to sequential
 //! ([`ExecutionError::AbortThresholdExceeded`]). The README's "Adaptive
-//! execution" section has a doctested walkthrough; the `block-stm-scheduler`
-//! crate docs carry the hint-safety argument.
+//! execution" section has a doctested walkthrough. Exact hints also feed the
+//! Bohm baseline's declared write-sets, which reports
+//! [`ExecutionError::UndeclaredWrite`] when a transaction writes outside them.
 //!
 //! ## Crate layout
 //!
@@ -173,8 +171,8 @@
 //!   rolling committed prefix.
 //! * [`SequentialExecutor`] — the baseline the paper compares against and the
 //!   correctness oracle for every other engine.
-//! * [`AdaptiveExecutor`] — per-block engine selection over sequential /
-//!   parallel / hinted dispatch, with the abort-threshold escape hatch.
+//! * [`AdaptiveExecutor`] — per-block engine selection between sequential and
+//!   parallel dispatch, with the abort-threshold escape hatch.
 //! * [`BlockOutput`] — committed state updates, per-transaction outputs and execution
 //!   metrics (plus the [`truncated_at`](BlockOutput::truncated_at) cut marker).
 //! * [`ExecutionError`] — typed failures (worker panic, misconfiguration, violated
@@ -205,6 +203,8 @@ mod executor;
 mod hooks;
 mod output;
 mod sequential;
+#[cfg(test)]
+mod test_support;
 mod view;
 
 pub use adaptive::{AdaptiveDecision, AdaptiveExecutor, AdaptiveExecutorBuilder, EngineChoice};

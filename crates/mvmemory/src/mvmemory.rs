@@ -1669,7 +1669,8 @@ mod tests {
 
     #[test]
     fn snapshot_resolves_unfolded_chains_with_the_base_resolver() {
-        // Ladder-off mode: nothing ever materializes, the snapshot must fold.
+        // Nothing materialized (e.g. transactions past a limiter cut): the
+        // snapshot must fold the chains onto the base.
         let memory = Memory::new(4);
         memory.record(Version::new(0, 0), vec![], vec![(1, 10)]);
         record_delta(&memory, Version::new(1, 0), 1, 5);

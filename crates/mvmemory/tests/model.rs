@@ -265,8 +265,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn mvmemory_matches_sequential_reference_model(ops in vec(arb_op(), 1..40)) {
-        let memory: MVMemory<u64, u64> = MVMemory::new(TXNS);
+    fn mvmemory_matches_sequential_reference_model(
+        ops in vec(arb_op(), 1..40),
+        two_shards in any::<bool>(),
+    ) {
+        // With two interner shards nearly every location shares a shard with
+        // another, so the shard-collision paths run too.
+        let memory: MVMemory<u64, u64> = if two_shards {
+            MVMemory::with_shards(TXNS, 2)
+        } else {
+            MVMemory::new(TXNS)
+        };
         let mut cache = LocationCache::new();
         let mut model = Model::new();
         for (step, op) in ops.iter().enumerate() {

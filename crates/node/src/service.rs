@@ -676,7 +676,7 @@ fn spawn_chained<T: Transaction + Clone + 'static>(
     std::thread::Builder::new()
         .name("block-stm-node-executor".into())
         .spawn(move || {
-            let mut builder = BlockStmBuilder::new(vm).rolling_commit(true);
+            let mut builder = BlockStmBuilder::new(vm);
             if let Some(concurrency) = concurrency {
                 builder = builder.concurrency(concurrency);
             }

@@ -39,13 +39,16 @@
 //!
 //! # The commit ladder
 //!
-//! Instead of the block "finishing" only when the paper's double-collect `check_done`
-//! fires, a `commit` cursor walks the block front to back: whenever the lowest
-//! uncommitted transaction holds a sufficiently fresh passing validation, it is
-//! committed and the cursor advances ([`Scheduler::committed_prefix`]). Block
-//! completion is *derived* from the ladder — `done()` rises exactly when
-//! `committed_prefix() == block_size()` — and downstream consumers can stream the
-//! committed prefix while the tail of the block still speculates.
+//! The paper detects completion with a double-collect `check_done` over the two
+//! cursors and the active-task count (Theorem 1). Here a `commit` cursor walks the
+//! block front to back instead: whenever the lowest uncommitted transaction holds a
+//! sufficiently fresh passing validation, it is committed and the cursor advances
+//! ([`Scheduler::committed_prefix`]). Block completion is *derived* from the ladder
+//! alone — `done()` rises exactly when `committed_prefix() == block_size()` (or on
+//! [`Scheduler::halt`]) — and downstream consumers can stream the committed prefix
+//! while the tail of the block still speculates. When the ladder completes, the
+//! paper's end condition holds as well: both cursors are past the block and no task
+//! is in flight (the unit tests check this after every scheduler step).
 //!
 //! ## Waves
 //!
@@ -95,10 +98,7 @@
 //! claiming until it passes the block, and every claim either produces a validation
 //! (whose completion raises `validated_wave` to the claim's wave) or proves the
 //! transaction is mid-transition (whose completion schedules a fresh validation); the
-//! ladder therefore always advances eventually. With the ladder disabled
-//! ([`SchedulerOptions::rolling_commit`]), completion falls back to the paper's
-//! double-collect (`check_done`, Theorem 1), which is retained (and cross-checked in
-//! tests) as [`Scheduler::cursors_exhausted`].
+//! ladder therefore always advances eventually.
 //!
 //! # Chained execution: the commit gate and the cross-block frontier
 //!
@@ -145,52 +145,6 @@
 //! intermediate sweeps — that is purely a liveness/performance measure (it
 //! re-executes doomed speculation early); soundness needs only the final,
 //! mandatory sweep-then-open ordering. ∎
-//!
-//! # Hint-guided scheduling: the hint-safety argument
-//!
-//! Declared access hints ([`AccessHints`](https://docs.rs/block-stm) on the
-//! transaction trait) enter the scheduler through exactly two primitives, and
-//! both are confined to the *dispensing* side of the scheduler — neither
-//! touches the validation cursor, the wave bookkeeping or the commit rule:
-//!
-//! * [`Scheduler::set_initial_order`] permutes which transaction the execution
-//!   counter dispenses at each position (low-declared-conflict first). The
-//!   status lattice, validation sweeps and the commit ladder all operate on
-//!   **transaction indices**; a permuted *execution* order only changes which
-//!   speculation runs first, and a mis-ordered speculation that read too early
-//!   is caught by validation like any other stale read.
-//! * [`Scheduler::preregister_dependency`] parks a hinted reader on its
-//!   declared writer before the block starts. This is precisely the state the
-//!   pair would reach organically if the reader had executed, observed an
-//!   ESTIMATE of the writer and aborted — minus the doomed execution. The
-//!   parked transaction re-enters through the ordinary `resume_dependencies`
-//!   wake path, executes a fresh incarnation, and that incarnation validates
-//!   and commits under the unmodified ladder rules.
-//!
-//! Hence the safety argument above goes through **verbatim** with hints on:
-//! every invalidating event still lowers the validation cursor, every commit
-//! still requires a sufficiently-fresh passing validation, and the ladder
-//! still commits in index order. Stale, partial or adversarially wrong hints
-//! can only (a) pick a worse initial order, or (b) park a transaction behind a
-//! writer it never actually conflicts with — both cost performance, never
-//! correctness. A hinted reader parked behind the *wrong* writer is woken when
-//! that writer finishes and then validates against what it actually read; a
-//! conflict the hints *missed* is simply discovered at run time exactly as in
-//! the unhinted engine. Wake-ups are why liveness is also preserved: parking
-//! only ever moves a transaction into the `ABORTING` → resume path that
-//! organic ESTIMATE reads already exercise, and at most one pre-dependency is
-//! installed per transaction, on a lower-indexed blocker, so no cycle can be
-//! declared.
-//!
-//! The one hint consumer that *does* carry correctness weight lives outside
-//! the scheduler: when every hint in the block is `exact`, the core engine
-//! skips multi-version **validation descriptors** for reads the hints prove
-//! private. That optimization leans on the exactness promise (declared writes
-//! are a superset of actual writes), so the engine enforces the promise at
-//! record time — a transaction writing outside its declared exact write-set
-//! fails the whole block with a typed `UndeclaredWrite` error before the
-//! undeclared version can enter the multi-version map. Advisory hints never
-//! enable that path.
 //!
 //! The public API mirrors the paper's function names one-to-one so the correctness
 //! argument of Appendix A maps directly onto this code:

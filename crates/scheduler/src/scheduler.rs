@@ -49,20 +49,12 @@ pub struct SchedulerOptions {
     /// counters (the paper's cases 1(b)/2(c) optimization). Disabled only by the
     /// ablation benchmarks. Default: `true`.
     pub task_return_optimization: bool,
-    /// Run the rolling commit ladder: commit the lowest uncommitted transaction as
-    /// soon as it has a sufficiently fresh passing validation, exempt committed
-    /// transactions from re-validation, and derive block completion from
-    /// `committed_prefix() == block_size()` instead of the double-collect
-    /// `check_done`. Disabled only by ablation benchmarks (the `commitbench`
-    /// ladder-off rows). Default: `true`.
-    pub rolling_commit: bool,
 }
 
 impl Default for SchedulerOptions {
     fn default() -> Self {
         Self {
             task_return_optimization: true,
-            rolling_commit: true,
         }
     }
 }
@@ -97,15 +89,11 @@ pub struct Scheduler {
     /// ordered set `V`; the wave increments on every decrease, so a claimed
     /// validation task knows how fresh it is (commit ladder bookkeeping).
     validation_idx: CachePadded<AtomicU64>,
-    /// Incremented every time either index is decreased; lets the legacy
-    /// `check_done` double-collect detect concurrent decreases (Theorem 1). With the
-    /// commit ladder enabled this is diagnostic only.
-    decrease_cnt: PaddedAtomicUsize,
     /// Number of in-flight execution/validation tasks (including claimed-but-not-yet
     /// -materialized ones).
     num_active_tasks: PaddedAtomicUsize,
-    /// Set once the block is complete (ladder reached `block_size`, or the legacy
-    /// double-collect fired, or the scheduler was halted).
+    /// Set once the block is complete (the ladder reached `block_size`) or the
+    /// scheduler was halted.
     done_marker: PaddedAtomicBool,
     /// Set by [`halt`](Self::halt): the block was cut short (worker panic or a
     /// `BlockLimiter` boundary) rather than run to completion.
@@ -130,18 +118,6 @@ pub struct Scheduler {
     txn_status: Vec<CachePadded<Mutex<StatusEntry>>>,
     /// See [`SchedulerOptions::task_return_optimization`].
     task_return_optimization: bool,
-    /// See [`SchedulerOptions::rolling_commit`].
-    rolling_commit: bool,
-    /// Hint-guided initial execution order: the execution counter dispenses
-    /// *positions*, and `initial_order[pos]` is the transaction executed at
-    /// position `pos` (`None` = identity, the paper's index order). Purely a
-    /// scheduling heuristic — validation, the commit ladder and the preset
-    /// serialization order are untouched (see
-    /// [`set_initial_order`](Self::set_initial_order)).
-    initial_order: Option<Vec<TxnIndex>>,
-    /// Inverse permutation: `order_position[txn_idx]` is the position of
-    /// `txn_idx` in `initial_order`. Empty when `initial_order` is `None`.
-    order_position: Vec<usize>,
 }
 
 impl Scheduler {
@@ -162,7 +138,6 @@ impl Scheduler {
             block_size,
             execution_idx: AtomicMinCounter::new(0),
             validation_idx: CachePadded::new(AtomicU64::new(pack_cursor(0, 0))),
-            decrease_cnt: PaddedAtomicUsize::new(0),
             num_active_tasks: PaddedAtomicUsize::new(0),
             done_marker: PaddedAtomicBool::new(false),
             halted: PaddedAtomicBool::new(false),
@@ -176,9 +151,6 @@ impl Scheduler {
                 .map(|_| CachePadded::new(Mutex::new(StatusEntry::initial())))
                 .collect(),
             task_return_optimization: options.task_return_optimization,
-            rolling_commit: options.rolling_commit,
-            initial_order: None,
-            order_position: Vec::new(),
         }
     }
 
@@ -196,7 +168,6 @@ impl Scheduler {
         self.block_size = block_size;
         self.execution_idx.store(0);
         *self.validation_idx.get_mut() = pack_cursor(0, 0);
-        self.decrease_cnt.store(0);
         self.num_active_tasks.store(0);
         self.done_marker.store(false);
         self.halted.store(false);
@@ -218,94 +189,6 @@ impl Scheduler {
         while self.txn_status.len() < block_size {
             self.txn_status
                 .push(CachePadded::new(Mutex::new(StatusEntry::initial())));
-        }
-        // Hints are per block: the next block must opt in again.
-        self.initial_order = None;
-        self.order_position.clear();
-    }
-
-    /// Installs a hint-guided **initial execution order** for this block: the
-    /// execution counter dispenses positions `0, 1, 2, ...` and position `pos`
-    /// executes transaction `order[pos]` (low-conflict transactions first, per
-    /// the hint partition). `order` must be a permutation of
-    /// `0..block_size()`.
-    ///
-    /// This is purely a dispensing heuristic and cannot affect the committed
-    /// output: the validation cursor, the wave bookkeeping and the commit
-    /// ladder all operate on *transaction indices* exactly as before, so the
-    /// preset serialization order is preserved no matter how execution is
-    /// permuted — a mis-ordered speculation is caught by validation like any
-    /// other stale read.
-    ///
-    /// Requires `&mut self` (called between [`reset`](Self::reset) and the
-    /// block's first task claim, while no worker holds a reference).
-    pub fn set_initial_order(&mut self, order: Vec<TxnIndex>) {
-        assert_eq!(order.len(), self.block_size, "order must cover the block");
-        self.order_position.clear();
-        self.order_position.resize(self.block_size, usize::MAX);
-        for (pos, &txn_idx) in order.iter().enumerate() {
-            assert!(
-                txn_idx < self.block_size && self.order_position[txn_idx] == usize::MAX,
-                "initial order must be a permutation of 0..block_size"
-            );
-            self.order_position[txn_idx] = pos;
-        }
-        self.initial_order = Some(order);
-    }
-
-    /// Pre-registers a **hinted dependency** before the block starts: `txn_idx`
-    /// is parked (it will fail every `try_incarnate` until woken) and is added
-    /// to `blocking_txn_idx`'s dependency list, exactly as if it had executed,
-    /// read an ESTIMATE of the blocker and aborted — minus the doomed
-    /// speculative execution. When the blocker finishes its next incarnation,
-    /// `finish_execution` resumes `txn_idx` through the ordinary
-    /// `resume_dependencies` path.
-    ///
-    /// Returns `false` (and registers nothing) unless `txn_idx` is still in its
-    /// untouched initial state, so at most one pre-dependency can be installed
-    /// per transaction. Stale or wrong hints cannot affect the output: parking
-    /// only delays the first execution, and the woken incarnation validates
-    /// like any other.
-    ///
-    /// Requires `&mut self` (no worker is running, so no lock ordering or
-    /// wake race to consider — in particular the blocker cannot have finished
-    /// executing yet).
-    pub fn preregister_dependency(
-        &mut self,
-        txn_idx: TxnIndex,
-        blocking_txn_idx: TxnIndex,
-    ) -> bool {
-        assert!(
-            blocking_txn_idx < txn_idx && txn_idx < self.block_size,
-            "pre-registered dependencies point to lower transactions in the block"
-        );
-        let entry = self.txn_status[txn_idx].get_mut();
-        if entry.status != TxnStatus::ReadyToExecute || entry.incarnation != 0 {
-            return false;
-        }
-        entry.status = TxnStatus::Aborting;
-        self.txn_dependency[blocking_txn_idx]
-            .get_mut()
-            .push(txn_idx);
-        true
-    }
-
-    /// Maps an execution-counter position to the transaction dispensed there.
-    #[inline]
-    fn txn_at_position(&self, pos: usize) -> TxnIndex {
-        match &self.initial_order {
-            Some(order) if pos < order.len() => order[pos],
-            _ => pos,
-        }
-    }
-
-    /// Maps a transaction index to its execution-counter position.
-    #[inline]
-    fn position_of(&self, txn_idx: TxnIndex) -> usize {
-        if self.initial_order.is_some() {
-            self.order_position[txn_idx]
-        } else {
-            txn_idx
         }
     }
 
@@ -349,7 +232,7 @@ impl Scheduler {
     /// [`trigger_full_revalidation`]: Self::trigger_full_revalidation
     pub fn set_commit_gate(&self, open: bool) {
         self.commit_gate_open.store(open);
-        if open && self.rolling_commit {
+        if open {
             self.advance_commit_ladder();
         }
     }
@@ -380,9 +263,9 @@ impl Scheduler {
     }
 
     /// `done()` (Line 101): whether the block is complete and threads may exit their
-    /// run loop. With the commit ladder enabled this is raised exactly when
+    /// run loop. Derived only from the commit ladder: raised exactly when
     /// [`committed_prefix`](Self::committed_prefix) reaches
-    /// [`block_size`](Self::block_size) (or on [`halt`](Self::halt)).
+    /// [`block_size`](Self::block_size), or on [`halt`](Self::halt).
     pub fn done(&self) -> bool {
         self.done_marker.load()
     }
@@ -396,16 +279,9 @@ impl Scheduler {
 
     /// Position of the execution cursor, clamped to the block size. The distance
     /// `execution_cursor() - committed_prefix()` is the commit lag: how far
-    /// speculation has run ahead of the committed prefix. (With a hinted
-    /// initial order installed this counts dispensed *positions*, not
-    /// transaction indices.)
+    /// speculation has run ahead of the committed prefix.
     pub fn execution_cursor(&self) -> usize {
         self.execution_idx.load().min(self.block_size)
-    }
-
-    /// Whether the rolling commit ladder is enabled.
-    pub fn rolling_commit_enabled(&self) -> bool {
-        self.rolling_commit
     }
 
     /// Current incarnation number of `txn_idx` (used by executors for bookkeeping and
@@ -456,12 +332,9 @@ impl Scheduler {
         self.txn_dependency[txn_idx].lock().capacity()
     }
 
-    /// `decrease_execution_idx` (Lines 98–100). The counter lives in
-    /// *position* space, so the target transaction is translated through the
-    /// hinted initial order (identity without one).
+    /// `decrease_execution_idx` (Lines 98–100).
     fn decrease_execution_idx(&self, target_idx: TxnIndex) {
-        self.execution_idx.decrease(self.position_of(target_idx));
-        self.decrease_cnt.increment();
+        self.execution_idx.decrease(target_idx);
     }
 
     /// `decrease_validation_idx` (Lines 103–105), wave-stamped: lowering the cursor
@@ -481,10 +354,7 @@ impl Scheduler {
                 Ordering::SeqCst,
                 Ordering::SeqCst,
             ) {
-                Ok(_) => {
-                    self.decrease_cnt.increment();
-                    return wave + 1;
-                }
+                Ok(_) => return wave + 1,
                 Err(observed) => current = observed,
             }
         }
@@ -495,34 +365,14 @@ impl Scheduler {
         unpack_cursor(self.validation_idx.load(Ordering::SeqCst))
     }
 
-    /// Completion check. With the commit ladder enabled, completion is *derived from
-    /// the ladder*: the block is done exactly when the committed prefix covers it,
-    /// so this simply attempts a ladder advance (which raises the done marker at the
-    /// end). With the ladder disabled, this is the paper's double-collect
-    /// (`check_done`, Lines 106–109).
+    /// Completion check (the paper's `check_done`, Lines 106–109), derived from the
+    /// ladder: the block is done exactly when the committed prefix covers it, so
+    /// this attempts a ladder advance, which raises the done marker at the end.
+    /// Called whenever a cursor runs past the block.
     fn check_done(&self) {
-        if self.done_marker.load() {
-            return;
-        }
-        if self.rolling_commit {
+        if !self.done_marker.load() {
             self.advance_commit_ladder();
-        } else if self.cursors_exhausted() {
-            self.done_marker.store(true);
         }
-    }
-
-    /// The legacy double-collect completion condition (Theorem 1): both cursors ran
-    /// past the block, no task is in flight, and no cursor was lowered between the
-    /// two collects. With the commit ladder enabled this is exposed for diagnostics
-    /// and the termination-agreement test only.
-    pub fn cursors_exhausted(&self) -> bool {
-        let observed_cnt = self.decrease_cnt.load();
-        let execution_idx = self.execution_idx.load();
-        let (validation_idx, _) = self.validation_cursor();
-        let active = self.num_active_tasks.load();
-        execution_idx.min(validation_idx) >= self.block_size
-            && active == 0
-            && observed_cnt == self.decrease_cnt.load()
     }
 
     /// The post-validation commit hook: advances the commit ladder while the lowest
@@ -541,7 +391,6 @@ impl Scheduler {
     /// See the crate docs for why 1–3 imply the incarnation's reads equal the final
     /// committed state (the safety argument).
     fn advance_commit_ladder(&self) {
-        debug_assert!(self.rolling_commit);
         let mut next = self.commit_cursor.lock();
         loop {
             if !self.commit_gate_open.load() {
@@ -605,7 +454,7 @@ impl Scheduler {
             return None;
         }
         self.num_active_tasks.increment();
-        let idx_to_execute = self.txn_at_position(self.execution_idx.fetch_and_increment());
+        let idx_to_execute = self.execution_idx.fetch_and_increment();
         match self.try_incarnate(idx_to_execute) {
             Some(version) => Some(version),
             None => {
@@ -682,9 +531,7 @@ impl Scheduler {
 
     /// `next_task` (Lines 137–146): hands the calling thread the lowest-indexed ready
     /// task, preferring validation when the validation cursor is behind the execution
-    /// cursor. (With a hinted initial order the execution counter counts
-    /// *positions*, so the comparison degrades to a heuristic — either branch
-    /// is correct, it only biases which task kind is tried first.)
+    /// cursor.
     pub fn next_task(&self) -> Option<Task> {
         let (validation_idx, _) = self.validation_cursor();
         if validation_idx < self.execution_idx.load() {
@@ -748,13 +595,7 @@ impl Scheduler {
         for &dep_txn_idx in dependent_txn_indices {
             self.set_ready_status(dep_txn_idx);
         }
-        // The execution counter is in position space: lower it to the earliest
-        // *dispensed position* among the woken transactions (identical to the
-        // minimum index without a hinted order).
-        if let Some(&first_dependency) = dependent_txn_indices
-            .iter()
-            .min_by_key(|&&dep| self.position_of(dep))
-        {
+        if let Some(&first_dependency) = dependent_txn_indices.iter().min() {
             self.decrease_execution_idx(first_dependency);
         }
     }
@@ -843,7 +684,7 @@ impl Scheduler {
         if aborted {
             self.set_ready_status(txn_idx);
             self.decrease_validation_idx(txn_idx + 1);
-            if self.execution_idx.load() > self.position_of(txn_idx) {
+            if self.execution_idx.load() > txn_idx {
                 if self.task_return_optimization {
                     if let Some(version) = self.try_incarnate(txn_idx) {
                         return Some(Task::execution(version));
@@ -862,7 +703,7 @@ impl Scheduler {
                     Some(entry.validated_wave.map_or(wave, |prev| prev.max(wave)));
                 let at_commit_boundary = self.commit_watermark.load() == txn_idx;
                 drop(entry);
-                if self.rolling_commit && at_commit_boundary {
+                if at_commit_boundary {
                     self.advance_commit_ladder();
                 }
             }
@@ -1365,7 +1206,6 @@ mod tests {
             n,
             SchedulerOptions {
                 task_return_optimization: false,
-                ..SchedulerOptions::default()
             },
         );
         let mut executed = vec![0usize; n];
@@ -1394,28 +1234,6 @@ mod tests {
         }
         assert!(executed.iter().all(|&count| count == 1));
         assert_eq!(scheduler.committed_prefix(), n);
-    }
-
-    #[test]
-    fn rolling_commit_disabled_restores_double_collect_termination() {
-        let n = 6;
-        let scheduler = Scheduler::with_options(
-            n,
-            SchedulerOptions {
-                rolling_commit: false,
-                ..SchedulerOptions::default()
-            },
-        );
-        assert!(!scheduler.rolling_commit_enabled());
-        let executed = drive_to_completion(&scheduler);
-        assert!(executed.iter().all(|&count| count == 1));
-        // Without the ladder nothing commits; termination came from the legacy
-        // double-collect and every transaction parks at Validated.
-        assert_eq!(scheduler.committed_prefix(), 0);
-        assert!(scheduler.cursors_exhausted());
-        for txn_idx in 0..n {
-            assert_eq!(scheduler.status_of(txn_idx), TxnStatus::Validated);
-        }
     }
 
     #[test]
@@ -1593,22 +1411,49 @@ mod tests {
 
     #[test]
     fn check_done_and_commit_ladder_agree_on_termination() {
-        // Satellite: with the ladder on, the done marker must rise exactly when the
-        // committed prefix covers the block — and at that point the legacy
-        // double-collect condition holds as well (single-threaded, so no task can
-        // be in flight when the ladder finishes).
+        // `done()` is derived only from the commit ladder. Checked after every
+        // step of a single-threaded drive in which each odd transaction fails
+        // its first validation (so the validation cursor moves back down):
+        // the marker stays down while the committed prefix is short of the
+        // block, and when it rises the end condition of Theorem 1 holds as
+        // well — both cursors are past the block and no task is in flight.
         for n in [1usize, 2, 5, 17] {
             let scheduler = Scheduler::new(n);
-            assert!(scheduler.rolling_commit_enabled(), "ladder is the default");
-            assert!(!scheduler.cursors_exhausted());
-            drive_to_completion(&scheduler);
-            assert!(scheduler.done());
+            let mut aborted = vec![false; n];
+            let mut pending: Option<Task> = None;
+            let mut steps = 0;
+            while !scheduler.done() {
+                steps += 1;
+                assert!(steps < 10_000, "scheduler did not terminate (n = {n})");
+                assert!(scheduler.committed_prefix() < n, "n = {n}");
+                let Some(task) = pending.take().or_else(|| scheduler.next_task()) else {
+                    continue;
+                };
+                let Version {
+                    txn_idx,
+                    incarnation,
+                } = task.version;
+                pending = match task.kind {
+                    TaskKind::Execution => scheduler.finish_execution(txn_idx, incarnation, true),
+                    TaskKind::Validation => {
+                        let abort = txn_idx % 2 == 1
+                            && !aborted[txn_idx]
+                            && scheduler.try_validation_abort(txn_idx, incarnation);
+                        aborted[txn_idx] |= abort;
+                        scheduler.finish_validation(txn_idx, incarnation, task.wave, abort)
+                    }
+                };
+            }
+            assert!(pending.is_none(), "n = {n}");
             assert_eq!(scheduler.committed_prefix(), n);
-            assert!(
-                scheduler.cursors_exhausted(),
-                "ladder termination implies the double-collect condition (n = {n})"
-            );
+            assert!(scheduler.execution_idx.load() >= n, "n = {n}");
+            assert!(scheduler.validation_cursor().0 >= n, "n = {n}");
+            assert_eq!(scheduler.active_tasks(), 0, "n = {n}");
             assert!(!scheduler.halted());
+            assert!(
+                (1..n).step_by(2).all(|txn_idx| aborted[txn_idx]),
+                "every odd transaction was aborted once (n = {n})"
+            );
         }
     }
 
@@ -1648,7 +1493,6 @@ mod tests {
             2,
             SchedulerOptions {
                 task_return_optimization: false,
-                ..SchedulerOptions::default()
             },
         );
         scheduler.reset(2);
@@ -1758,121 +1602,6 @@ mod tests {
         assert!(scheduler.done());
         assert_eq!(scheduler.committed_prefix(), n);
         // Every transaction must have finished in the COMMITTED state.
-        for txn_idx in 0..n {
-            assert_eq!(scheduler.status_of(txn_idx), TxnStatus::Committed);
-        }
-    }
-
-    #[test]
-    fn initial_order_dispenses_executions_in_hinted_order() {
-        let mut scheduler = Scheduler::new(4);
-        scheduler.set_initial_order(vec![2, 0, 3, 1]);
-        let claimed: Vec<usize> = (0..4).map(|_| claim(&scheduler).version.txn_idx).collect();
-        assert_eq!(claimed, vec![2, 0, 3, 1]);
-    }
-
-    #[test]
-    fn initial_order_block_completes_and_commits_in_preset_order() {
-        // Run the single-threaded drive loop under a reversed initial order:
-        // the block must still commit 0..n in preset order.
-        let n = 6;
-        let mut scheduler = Scheduler::new(n);
-        scheduler.set_initial_order((0..n).rev().collect());
-        let executed = drive_to_completion(&scheduler);
-        assert!(executed.iter().all(|&count| count == 1));
-        assert_eq!(scheduler.committed_prefix(), n);
-        for txn_idx in 0..n {
-            assert_eq!(scheduler.status_of(txn_idx), TxnStatus::Committed);
-        }
-    }
-
-    #[test]
-    fn reset_clears_the_initial_order() {
-        let mut scheduler = Scheduler::new(3);
-        scheduler.set_initial_order(vec![2, 1, 0]);
-        scheduler.reset(3);
-        let claimed: Vec<usize> = (0..3).map(|_| claim(&scheduler).version.txn_idx).collect();
-        assert_eq!(claimed, vec![0, 1, 2], "reset restores index order");
-    }
-
-    #[test]
-    #[should_panic(expected = "permutation")]
-    fn initial_order_rejects_non_permutations() {
-        let mut scheduler = Scheduler::new(3);
-        scheduler.set_initial_order(vec![0, 0, 1]);
-    }
-
-    #[test]
-    fn preregistered_dependency_parks_until_blocker_finishes() {
-        let mut scheduler = Scheduler::new(3);
-        assert!(scheduler.preregister_dependency(2, 0));
-        // Only one pre-dependency per transaction: the second refuses.
-        assert!(!scheduler.preregister_dependency(2, 1));
-        // txn 2 is parked: the dispenser skips it (claims 0 then 1, never 2).
-        let e0 = claim(&scheduler);
-        let e1 = claim(&scheduler);
-        assert_eq!(e0.version.txn_idx, 0);
-        assert_eq!(e1.version.txn_idx, 1);
-        assert_eq!(scheduler.status_of(2), TxnStatus::Aborting);
-        // The blocker finishing execution wakes txn 2 through the ordinary
-        // resume path, at incarnation 1.
-        scheduler.finish_execution(0, 0, false);
-        assert_eq!(scheduler.status_of(2), TxnStatus::ReadyToExecute);
-        assert_eq!(scheduler.incarnation_of(2), 1);
-        let woken = claim(&scheduler);
-        assert!(woken.is_execution());
-        assert_eq!(woken.version, Version::new(2, 1));
-    }
-
-    #[test]
-    fn preregistration_composes_with_initial_order_under_concurrency() {
-        // A dependency chain pre-registered on top of a reversed initial order,
-        // driven by 4 threads: every transaction still commits exactly once in
-        // preset order. This is the hinted configuration the core engine uses.
-        let n = 64;
-        let mut scheduler = Scheduler::new(n);
-        scheduler.set_initial_order((0..n).rev().collect());
-        for txn_idx in (1..n).step_by(2) {
-            assert!(scheduler.preregister_dependency(txn_idx, txn_idx - 1));
-        }
-        let scheduler = Arc::new(scheduler);
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let scheduler = Arc::clone(&scheduler);
-                std::thread::spawn(move || {
-                    let mut task: Option<Task> = None;
-                    while !scheduler.done() {
-                        match task.take() {
-                            Some(t) if t.is_execution() => {
-                                task = scheduler.finish_execution(
-                                    t.version.txn_idx,
-                                    t.version.incarnation,
-                                    false,
-                                );
-                            }
-                            Some(t) => {
-                                task = scheduler.finish_validation(
-                                    t.version.txn_idx,
-                                    t.version.incarnation,
-                                    t.wave,
-                                    false,
-                                );
-                            }
-                            None => {
-                                task = scheduler.next_task();
-                                if task.is_none() {
-                                    std::hint::spin_loop();
-                                }
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for thread in threads {
-            thread.join().unwrap();
-        }
-        assert_eq!(scheduler.committed_prefix(), n);
         for txn_idx in 0..n {
             assert_eq!(scheduler.status_of(txn_idx), TxnStatus::Committed);
         }

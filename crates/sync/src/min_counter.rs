@@ -7,10 +7,9 @@
 //! `decrease_validation_idx`, Lines 99 and 104, which set the index to
 //! `min(index, target)`).
 //!
-//! [`AtomicMinCounter`] packages exactly those two operations, plus a monotonically
-//! increasing `decrease_cnt`-style event counter hook is left to the caller (the
-//! scheduler owns `decrease_cnt` because it must be incremented *after* the index is
-//! lowered, see the `check_done` double-collect).
+//! [`AtomicMinCounter`] packages exactly those two operations. The paper also counts
+//! decreases for its double-collect completion check; this scheduler derives
+//! completion from its commit ladder instead and needs no such counter.
 
 use crate::padded::CachePadded;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -1,7 +1,7 @@
 //! Cache-line padding to avoid false sharing.
 //!
 //! The Block-STM scheduler keeps several very hot atomic counters (`execution_idx`,
-//! `validation_idx`, `decrease_cnt`, `num_active_tasks`) that are updated by every
+//! `validation_idx`, `num_active_tasks`, the commit watermark) that are updated by every
 //! worker thread. Placing them on the same cache line would serialize those updates
 //! through cache-coherence traffic; the paper explicitly mentions using "the standard
 //! cache padding technique to mitigate false sharing" (§4). [`CachePadded`] aligns its
@@ -59,10 +59,10 @@ impl<T: Clone> Clone for CachePadded<T> {
 
 /// A cache-padded `AtomicUsize` with convenience accessors.
 ///
-/// All operations use [`Ordering::SeqCst`]: the scheduler's completion detection
-/// (`check_done`, Theorem 1 in the paper) relies on a double-collect over several
-/// counters and is much easier to reason about under sequential consistency. The cost
-/// is negligible relative to transaction execution.
+/// All operations use [`Ordering::SeqCst`]: the scheduler reads these counters
+/// together with its cursors (the active-task count, the commit watermark), and
+/// arguments across several counters are much easier to make under sequential
+/// consistency. The cost is negligible relative to transaction execution.
 #[derive(Default, Debug)]
 pub struct PaddedAtomicUsize {
     inner: CachePadded<AtomicUsize>,

@@ -8,16 +8,15 @@ use std::fmt::Debug;
 use std::hash::Hash;
 
 /// Declared read/write access sets for one transaction — the structured form of
-/// the conflict-specification hints the scheduling layers consume.
+/// the conflict-specification hints engine selection consumes.
 ///
-/// Hints are **advisory for scheduling** (pre-registering dependencies, choosing
-/// an initial execution order) and may be partial, stale or plain wrong without
-/// affecting the committed output. The one correctness-bearing bit is
-/// [`exact`](AccessHints::exact): an exact hint *promises* that `writes` is a
-/// superset of every location any execution of the transaction may write
-/// (including delta applications). Engines that rely on that promise — Bohm's
-/// pre-built version chains, hinted Block-STM's private-read validation
-/// skipping — enforce it at run time and fail the block with a typed error
+/// Hints are **advisory** (the adaptive executor's conflict estimate reads them)
+/// and may be partial, stale or plain wrong without affecting the committed
+/// output. The one correctness-bearing bit is [`exact`](AccessHints::exact): an
+/// exact hint *promises* that `writes` is a superset of every location any
+/// execution of the transaction may write (including delta applications).
+/// Engines that rely on that promise — Bohm's pre-built version chains —
+/// enforce it at run time and fail the block with a typed error
 /// ([`UndeclaredWrite`](https://docs.rs/block-stm)-style) instead of committing
 /// a wrong state when a transaction breaks it. `reads` is always advisory.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -178,14 +177,13 @@ pub trait Transaction: Send + Sync {
 
     /// The transaction's declared access sets, when the model can provide them.
     ///
-    /// Block-STM never needs hints (run-time write-set estimation is its whole
-    /// point), but it can *use* them: the hinted scheduler pre-registers
-    /// dependencies and reorders initial execution from them, and the Bohm
-    /// baseline builds its placeholder version chains from exact hints when
-    /// driven through the engine-agnostic `BlockExecutor` interface. The
-    /// default (`None`) opts out: hint-aware engines fall back to plain
-    /// speculation, and engines that *require* hints (Bohm) report a typed
-    /// error rather than guess.
+    /// Block-STM never reads hints (run-time write-set estimation is its whole
+    /// point). The adaptive executor estimates a block's conflict rate from
+    /// them, and the Bohm baseline builds its placeholder version chains from
+    /// exact hints when driven through the engine-agnostic `BlockExecutor`
+    /// interface. The default (`None`) opts out: the conflict estimate treats
+    /// the transaction as unknown, and engines that *require* hints (Bohm)
+    /// report a typed error rather than guess.
     fn access_hints(&self) -> Option<AccessHints<Self::Key>> {
         None
     }

@@ -53,25 +53,14 @@ fn conformance_battery<T: AccountTransaction>(
 
     let mut litm_reference: Option<Vec<(AccessPath, StateValue)>> = None;
     for threads in [1usize, 2, 4, 8] {
-        let mut engines: NamedEngines<T> = vec![
-            (
-                "block-stm(ladder)",
-                Box::new(
-                    BlockStmBuilder::new(Vm::for_testing())
-                        .concurrency(threads)
-                        .build(),
-                ),
+        let mut engines: NamedEngines<T> = vec![(
+            "block-stm(ladder)",
+            Box::new(
+                BlockStmBuilder::new(Vm::for_testing())
+                    .concurrency(threads)
+                    .build(),
             ),
-            (
-                "block-stm(no-ladder)",
-                Box::new(
-                    BlockStmBuilder::new(Vm::for_testing())
-                        .concurrency(threads)
-                        .rolling_commit(false)
-                        .build(),
-                ),
-            ),
-        ];
+        )];
         if include_bohm {
             engines.push((
                 "bohm",
@@ -94,7 +83,6 @@ fn conformance_battery<T: AccountTransaction>(
         for (label, choice) in [
             ("adaptive(seq)", EngineChoice::Sequential),
             ("adaptive(par)", EngineChoice::Parallel),
-            ("adaptive(hint)", EngineChoice::Hinted),
         ] {
             engines.push((
                 label,
@@ -111,7 +99,7 @@ fn conformance_battery<T: AccountTransaction>(
             Box::new(
                 AdaptiveExecutor::builder(Vm::for_testing())
                     .concurrency(threads)
-                    .force_choice(EngineChoice::Hinted)
+                    .force_choice(EngineChoice::Parallel)
                     .abort_fallback_threshold(0)
                     .build(),
             ),
@@ -331,7 +319,6 @@ proptest! {
 
         let mut engines: NamedEngines<_> = vec![
             ("ladder-on", Box::new(BlockStmBuilder::new(Vm::for_testing()).concurrency(threads).build())),
-            ("ladder-off", Box::new(BlockStmBuilder::new(Vm::for_testing()).concurrency(threads).rolling_commit(false).build())),
         ];
         if rmw_fees {
             engines.push(("bohm", Box::new(BohmExecutor::new(Vm::for_testing(), threads))));
@@ -342,7 +329,7 @@ proptest! {
             Box::new(
                 AdaptiveExecutor::builder(Vm::for_testing())
                     .concurrency(threads)
-                    .force_choice(EngineChoice::Hinted)
+                    .force_choice(EngineChoice::Parallel)
                     .abort_fallback_threshold(0)
                     .build(),
             ),
@@ -393,7 +380,6 @@ proptest! {
 
         let mut engines: NamedEngines<_> = vec![
             ("ladder-on", Box::new(BlockStmBuilder::new(Vm::for_testing()).concurrency(threads).build())),
-            ("ladder-off", Box::new(BlockStmBuilder::new(Vm::for_testing()).concurrency(threads).rolling_commit(false).build())),
         ];
         if rmw_fees {
             engines.push(("bohm", Box::new(BohmExecutor::new(Vm::for_testing(), threads))));
@@ -404,7 +390,7 @@ proptest! {
             Box::new(
                 AdaptiveExecutor::builder(Vm::for_testing())
                     .concurrency(threads)
-                    .force_choice(EngineChoice::Hinted)
+                    .force_choice(EngineChoice::Parallel)
                     .abort_fallback_threshold(0)
                     .build(),
             ),

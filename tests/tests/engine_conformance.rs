@@ -18,23 +18,15 @@ use block_stm_workloads::{P2pWorkload, SyntheticWorkload};
 type Storage = InMemoryStorage<u64, u64>;
 type Engine = Box<dyn BlockExecutor<SyntheticTransaction, Storage>>;
 
-/// Every engine in the workspace, configured for `threads` workers. Block-STM runs
-/// twice: with the rolling commit ladder (the default) and with the ladder disabled
-/// (the `commitbench` ablation) — both must match the sequential oracle. The
-/// adaptive dispatcher runs five ways: deciding organically, forced down each of
-/// its three engine paths, and forced hinted with a zero abort budget so the
-/// mid-block sequential fallback fires whenever the block conflicts at all.
+/// Every engine in the workspace, configured for `threads` workers. The adaptive
+/// dispatcher runs four ways: deciding organically, forced down each of its two
+/// engine paths, and forced parallel with a zero abort budget so the mid-block
+/// sequential fallback fires whenever the block conflicts at all.
 fn engines(threads: usize) -> Vec<Engine> {
     vec![
         Box::new(
             BlockStmBuilder::new(Vm::for_testing())
                 .concurrency(threads)
-                .build(),
-        ),
-        Box::new(
-            BlockStmBuilder::new(Vm::for_testing())
-                .concurrency(threads)
-                .rolling_commit(false)
                 .build(),
         ),
         Box::new(SequentialExecutor::new(Vm::for_testing())),
@@ -60,13 +52,7 @@ fn engines(threads: usize) -> Vec<Engine> {
         Box::new(
             AdaptiveExecutor::builder(Vm::for_testing())
                 .concurrency(threads)
-                .force_choice(EngineChoice::Hinted)
-                .build(),
-        ),
-        Box::new(
-            AdaptiveExecutor::builder(Vm::for_testing())
-                .concurrency(threads)
-                .force_choice(EngineChoice::Hinted)
+                .force_choice(EngineChoice::Parallel)
                 .abort_fallback_threshold(0)
                 .build(),
         ),
@@ -168,11 +154,9 @@ fn engine_names_and_order_contract_are_stable() {
         names,
         vec![
             "block-stm",
-            "block-stm",
             "sequential",
             "bohm",
             "litm",
-            "adaptive",
             "adaptive",
             "adaptive",
             "adaptive",
@@ -183,10 +167,7 @@ fn engine_names_and_order_contract_are_stable() {
         .iter()
         .map(|engine| engine.preserves_preset_order())
         .collect();
-    assert_eq!(
-        order,
-        vec![true, true, true, true, false, true, true, true, true, true]
-    );
+    assert_eq!(order, vec![true, true, true, false, true, true, true, true]);
 }
 
 /// The tentpole reuse scenario: a single `BlockStm` instance executes 50 consecutive

@@ -121,9 +121,6 @@ fn executor_option_ablations_preserve_correctness() {
             .concurrency(8)
             .dependency_recheck(false)
             .task_return_optimization(false),
-        BlockStmBuilder::new(Vm::for_testing())
-            .concurrency(8)
-            .mvmemory_shards(4),
     ] {
         let parallel = builder.build().execute_block(&block, &storage).unwrap();
         assert_eq!(parallel.updates, sequential.updates);

@@ -64,9 +64,9 @@ fn materialize(store: &DiskStorage) -> AccountStorage {
     mem
 }
 
-/// The disk conformance battery: sequential, Block-STM with the ladder on and
-/// off, and (on delta-free blocks) Bohm all execute against the `LogStore`
-/// directly — plus one ladder run through a prefetched [`BlockCache`] — and
+/// The disk conformance battery: sequential, Block-STM and (on delta-free
+/// blocks) Bohm all execute against the `LogStore` directly — plus one
+/// Block-STM run through a prefetched [`BlockCache`] — and
 /// every result must equal the in-memory sequential reference byte for byte.
 /// Afterwards the store is *reopened* (index rebuilt by replay) and the
 /// [`ConservationOracle`] re-judges the reference output over the recovered
@@ -96,15 +96,6 @@ fn disk_conformance_battery<T: AccountTransaction>(
                 Box::new(
                     BlockStmBuilder::new(Vm::for_testing())
                         .concurrency(threads)
-                        .build(),
-                ),
-            ),
-            (
-                "block-stm(no-ladder)",
-                Box::new(
-                    BlockStmBuilder::new(Vm::for_testing())
-                        .concurrency(threads)
-                        .rolling_commit(false)
                         .build(),
                 ),
             ),

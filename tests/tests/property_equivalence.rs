@@ -3,16 +3,16 @@
 //! thread count. Shrinking gives minimal counterexamples if the engines ever diverge.
 //!
 //! The wrong-hints suite is the teeth behind the "hints are advisory" claim:
-//! arbitrarily wrong *advisory* hints fed to the hinted scheduler (and to the
-//! adaptive dispatcher forced onto its hinted path) must leave the committed
-//! output byte-for-byte identical to sequential execution, while an *exact*
-//! hint that lies about the write-set must fail the block with the typed
+//! arbitrarily wrong *advisory* hints fed to the adaptive dispatcher (whose
+//! conflict estimate reads them) must leave the committed output byte-for-byte
+//! identical to sequential execution, while an *exact* hint that lies about the
+//! write-set must make the Bohm baseline (which pre-builds its version chains
+//! from declared write-sets) fail the block with the typed
 //! [`UndeclaredWrite`](block_stm::ExecutionError::UndeclaredWrite) error
 //! instead of committing anything.
 
 use block_stm::{
-    AdaptiveExecutor, BlockExecutor, BlockStmBuilder, EngineChoice, ExecutionError,
-    SequentialExecutor, Vm,
+    AdaptiveExecutor, BlockExecutor, BlockStmBuilder, ExecutionError, SequentialExecutor, Vm,
 };
 use block_stm_baselines::{BohmExecutor, LitmExecutor};
 use block_stm_storage::InMemoryStorage;
@@ -122,10 +122,10 @@ proptest! {
         prop_assert_eq!(first.updates, second.updates);
     }
 
-    /// Advisory hints are pure scheduling advice: no matter how wrong they are,
-    /// the hinted scheduler and the adaptive dispatcher (forced onto its hinted
-    /// path, with the mid-block fallback both disarmed and hair-triggered) must
-    /// commit the sequential preset-order state byte for byte.
+    /// Advisory hints only steer the adaptive dispatcher's engine choice: no
+    /// matter how wrong they are, it must commit the sequential preset-order
+    /// state byte for byte, with the mid-block fallback both disarmed and
+    /// hair-triggered.
     #[test]
     fn arbitrarily_wrong_advisory_hints_never_change_committed_output(
         block in vec((arb_txn(), arb_wrong_hints()), 1..50),
@@ -142,29 +142,18 @@ proptest! {
 
         let engines: Vec<(&str, Box<dyn BlockExecutor<_, _>>)> = vec![
             (
-                "hinted-block-stm",
+                "adaptive",
                 Box::new(
-                    BlockStmBuilder::new(Vm::for_testing())
+                    AdaptiveExecutor::builder(Vm::for_testing())
                         .concurrency(threads)
-                        .use_hints(true)
                         .build(),
                 ),
             ),
             (
-                "adaptive(hint)",
+                "adaptive(fallback)",
                 Box::new(
                     AdaptiveExecutor::builder(Vm::for_testing())
                         .concurrency(threads)
-                        .force_choice(EngineChoice::Hinted)
-                        .build(),
-                ),
-            ),
-            (
-                "adaptive(hint, fallback)",
-                Box::new(
-                    AdaptiveExecutor::builder(Vm::for_testing())
-                        .concurrency(threads)
-                        .force_choice(EngineChoice::Hinted)
                         .abort_fallback_threshold(0)
                         .build(),
                 ),
@@ -181,10 +170,11 @@ proptest! {
     }
 
     /// The flip side: an `exact` hint whose write-set lies (omits a location
-    /// the transaction really writes) must fail the whole block with the typed
-    /// [`UndeclaredWrite`] error naming the liar — never commit a state built
-    /// on the broken privacy promise. Every other transaction carries its own
-    /// truthful exact hints, so enforcement is per-transaction.
+    /// the transaction really writes) must make Bohm fail the whole block with
+    /// the typed [`UndeclaredWrite`] error naming the liar — never commit a
+    /// state whose readers missed the undeclared write. Every other
+    /// transaction carries its own truthful exact hints, so enforcement is
+    /// per-transaction.
     #[test]
     fn lying_exact_hints_fail_with_undeclared_write(
         block in vec(arb_txn(), 1..30),
@@ -210,11 +200,8 @@ proptest! {
                 }
             })
             .collect();
-        let hinted = BlockStmBuilder::new(Vm::for_testing())
-            .concurrency(threads)
-            .use_hints(true)
-            .build();
-        match hinted.execute_block(&hinted_block, &storage) {
+        let bohm = BohmExecutor::new(Vm::for_testing(), threads);
+        match bohm.execute_block(&hinted_block, &storage) {
             Err(ExecutionError::UndeclaredWrite { txn_idx }) => {
                 prop_assert_eq!(txn_idx, liar_idx);
             }
