@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Whether the opt-in chained-commit audit is on (`BLOCK_STM_CHAIN_AUDIT=1`):
@@ -646,66 +646,44 @@ where
             .record_location_cache(stats.hits, stats.interner_hits, stats.interner_misses);
     }
 
-    /// Chained execution's bounded slice of [`run`](Self::run): performs up to
-    /// `budget` task-loop iterations against this worker's block, then returns
-    /// control to the chain loop (which may switch the worker to another block
-    /// of the chain, or let the slot be recycled). Unlike `run`, an empty poll
-    /// does not spin here — the chain loop has better things to try (the other
-    /// in-flight block) and owns the idle backoff.
+    /// Chained execution's unit of work, called from the chain's stint loop
+    /// instead of [`run`](Self::run): claims this block's lowest ready task,
+    /// performs it together with every follow-up task the scheduler hands back
+    /// (a claimed task must always be completed), then drains the commit ladder
+    /// if it moved past `drained_seen`. Returns `false`, having done nothing,
+    /// when the block has no ready task — the chain loop then tries the other
+    /// in-flight block and owns the idle backoff.
     ///
-    /// The per-stint [`LocationCache`] is deliberately scoped to the stint: it
-    /// holds handles into this slot's multi-version cells, which must all be
-    /// dropped before the slot can be reset for a later block of the chain.
-    ///
-    /// Returns `(done, progressed)`: whether the block's scheduler reports
-    /// completion, and whether this stint performed at least one task or drain.
-    pub(crate) fn run_stint(&self, budget: usize, abort: &AtomicBool) -> (bool, bool) {
-        let cache = RefCell::new(LocationCache::new());
-        let mut task: Option<Task> = None;
-        let mut drained_seen = 0usize;
-        let mut progressed = false;
-        let mut iterations = 0usize;
-        loop {
-            if task.is_none() {
-                // Only exit the loop empty-handed: a claimed task must always be
-                // completed (dropping it would stall the scheduler forever).
-                if iterations >= budget || self.scheduler.done() || abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                task = self.scheduler.next_task();
-                if task.is_none() {
-                    self.metrics.record_scheduler_poll();
-                    break;
-                }
-            }
-            iterations += 1;
-            progressed = true;
-            task = match task {
-                Some(Task {
-                    version,
-                    kind: TaskKind::Execution,
-                    ..
-                }) => self.try_execute(version, &cache),
-                Some(
-                    validation @ Task {
-                        kind: TaskKind::Validation,
-                        ..
-                    },
-                ) => self.needs_reexecution(validation),
-                None => unreachable!("loop invariant: a task is in hand here"),
+    /// `cache` belongs to the caller's stint, not the block: it holds handles
+    /// into this slot's multi-version cells, which must all be dropped before
+    /// the slot can be reset for a later block of the chain.
+    pub(crate) fn step(
+        &self,
+        cache: &RefCell<LocationCache<T::Key, T::Value>>,
+        drained_seen: &mut usize,
+    ) -> bool {
+        let mut task = self.scheduler.next_task();
+        // An empty claim can have skipped a transaction with nothing to do
+        // right now; the block is out of ready tasks only once the execution
+        // cursor has passed its end.
+        while task.is_none() && self.scheduler.execution_cursor() < self.block.len() {
+            task = self.scheduler.next_task();
+        }
+        if task.is_none() {
+            return false;
+        }
+        while let Some(claimed) = task {
+            task = match claimed.kind {
+                TaskKind::Execution => self.try_execute(claimed.version, cache),
+                TaskKind::Validation => self.needs_reexecution(claimed),
             };
-            let watermark = self.scheduler.committed_prefix();
-            if watermark > drained_seen {
-                if let Some(drained) = self.drain_commits(false) {
-                    progressed = progressed || drained > drained_seen;
-                    drained_seen = drained;
-                }
+        }
+        if self.scheduler.committed_prefix() > *drained_seen {
+            if let Some(drained) = self.drain_commits(false) {
+                *drained_seen = drained;
             }
         }
-        let stats = cache.borrow().stats();
-        self.metrics
-            .record_location_cache(stats.hits, stats.interner_hits, stats.interner_misses);
-        (self.scheduler.done(), progressed)
+        true
     }
 
     /// The pre-block base of `key` in aggregator form: the cross-block frontier

@@ -12,15 +12,22 @@
 //! - Block `N` runs normally and commits through the rolling ladder; every
 //!   committed write (plain and resolved delta) is published, in commit order,
 //!   into a shared [`FrontierOverlay`] — the **cross-block frontier**.
-//! - Block `N+1` starts speculating immediately, with its scheduler's **commit
-//!   gate closed**: its base reads fall through to the frontier (recorded as
-//!   stamped `Frontier` descriptors) and then to storage, so it executes
-//!   against block `N`'s committed prefix *as it grows*.
+//! - Block `N+1` is prepared with its scheduler's **commit gate closed**: its
+//!   base reads fall through to the frontier (recorded as stamped `Frontier`
+//!   descriptors) and then to storage, so it speculates against block `N`'s
+//!   committed prefix *as it grows*.
+//! - Dispatch is **head-first**, the chain-level form of the scheduler's
+//!   lowest-index-first rule: a worker takes a block `N+1` task only when
+//!   block `N` has no ready task, and asks block `N` again after every such
+//!   task. Block `N` gates every commit, so it is never left to fewer workers
+//!   than it can use, and run-ahead only fills the gaps its dependencies
+//!   leave instead of racing ahead of a frontier that is still moving.
 //! - When block `N` fully commits, the advancing worker harvests its output,
 //!   starts a full revalidation sweep on block `N+1` (so every commit there is
 //!   backed by a validation that re-checked its frontier stamps against the
-//!   now-frozen overlay) and only then opens `N+1`'s gate. See the
-//!   `block-stm-scheduler` crate docs for the chain-serializability argument.
+//!   now-frozen overlay) and only then opens `N+1`'s gate. That one sweep per
+//!   handoff is the only one the chain takes. See the `block-stm-scheduler`
+//!   crate docs for the chain-serializability argument.
 //!
 //! Slots alternate: while blocks `N` and `N+1` occupy the two engine arenas,
 //! the arena of block `N-1` is reset in place for block `N+2`, so a chain of
@@ -45,24 +52,19 @@ use crate::errors::{ExecutionError, PanicCollector};
 use crate::hooks::{ErasedBlockLimiter, ErasedCommitSink};
 use crate::output::BlockOutput;
 use block_stm_metrics::{ExecutionMetrics, MetricsSnapshot};
-use block_stm_mvmemory::FrontierOverlay;
+use block_stm_mvmemory::{FrontierOverlay, LocationCache};
 use block_stm_storage::Storage;
 use block_stm_sync::{Backoff, WorkerPool};
 use block_stm_vm::{AggregatorValue, Transaction, Vm};
 use parking_lot::{Mutex, RwLock};
 use std::any::Any;
+use std::cell::RefCell;
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Task-loop iterations a worker spends on one block before re-reading the
-/// chain's control state. Large enough to amortize the slot lock and the
-/// per-stint location cache, small enough that slot recycling (which must wait
-/// out every in-flight stint on the old block) never stalls noticeably.
-const STINT_BUDGET: usize = 512;
 
 /// Blocks pulled from a [`BlockSource`] in one poll, bounding the time a worker
 /// spends holding the fetch lock while its peers execute.
@@ -223,8 +225,8 @@ impl<T> std::ops::Deref for BlockRef<'_, T> {
 struct DynamicStore<'a, T> {
     source: &'a dyn BlockSource<T>,
     /// Blocks fetched so far, in stream order. Retained for the duration of
-    /// the chain call (harvested blocks stay reachable for bounded straggler
-    /// stints that observed the old slot generation).
+    /// the chain call (harvested blocks stay reachable for straggler stints
+    /// that observed the old slot generation).
     fetched: RwLock<Vec<Arc<Vec<T>>>>,
     /// Serializes pulls from the source; the flag records that the source
     /// reported [`BlockFeed::End`]. Only ever `try_lock`ed.
@@ -349,7 +351,8 @@ struct AdvanceState {
 /// Per-call shared control state of the chain workers.
 struct ChainControl<K, V> {
     /// Index of the oldest un-harvested block — the chain's head. Workers stint
-    /// on `active_block` first and opportunistically on `active_block + 1`.
+    /// on `active_block`, running ahead on `active_block + 1` only when the
+    /// head has no ready task.
     active_block: AtomicUsize,
     /// Raised on the first failure (panic, hook mismatch, engine invariant);
     /// every worker exits its loop promptly once set.
@@ -361,10 +364,6 @@ struct ChainControl<K, V> {
     /// a slot read guard must never block here (the recycling write lock waits
     /// on those readers).
     advance: Mutex<AdvanceState>,
-    /// Frontier publication count already covered by an intermediate
-    /// revalidation sweep of the successor block (throttles sweeps to one per
-    /// publication batch across all workers).
-    swept_publications: AtomicU64,
     /// Harvested per-block outputs, filled in stream order by the advancing
     /// worker.
     results: Mutex<Vec<Option<BlockOutput<K, V>>>>,
@@ -503,7 +502,6 @@ impl ChainExecutor {
                 prepared: 0,
                 announced: 0,
             }),
-            swept_publications: AtomicU64::new(0),
             results: Mutex::new(Vec::new()),
         };
         let panics = PanicCollector::new();
@@ -709,10 +707,10 @@ where
         progressed
     }
 
-    /// One worker's chain main loop: stint on the head block, opportunistically
-    /// on its successor, advance the chain when the head completes, poll the
-    /// block source when idle, back off when nothing moves. Exits when the
-    /// chain is fully advanced or failed.
+    /// One worker's chain main loop: a head-first stint over the head block and
+    /// its successor, the handoff when the head completes, a poll of the block
+    /// source when idle, backoff when nothing moves. Exits when the chain is
+    /// fully advanced or failed.
     fn worker_loop(&self) {
         let control = self.control;
         let mut backoff = Backoff::new();
@@ -725,43 +723,15 @@ where
             if head >= self.stream.total() {
                 break;
             }
-            let mut progressed = false;
-            let mut head_done = false;
-            if let Some(slot) = self.arena.slots[head % 2].try_read() {
-                if slot.generation == head {
-                    let publications_before = self.frontier.publications();
-                    let block = self.stream.block(head);
-                    let worker = self.worker_over(&slot.state, &block);
-                    let (done, stint_progressed) = worker.run_stint(STINT_BUDGET, &control.failed);
-                    head_done = done;
-                    progressed |= stint_progressed;
-                    if self.frontier.publications() > publications_before {
-                        self.sweep_successor(head);
-                    }
-                }
-            }
-            // The stint guard must be dropped before advancing: the advance
-            // recycles this very slot with a write lock once the handoff is
-            // done. (`try_read` guards drop at the end of the `if let` above.)
+            let (head_done, mut progressed) = self.stint(head);
             if head_done {
                 // Only a performed handoff counts as progress: a worker that
                 // loses the advance race (a peer holds the mutex, or the chain
                 // already moved on) must not claim it — treating the lost race
                 // as progress hot-spins the loser and starves the advancing
-                // worker on small hosts. Instead it falls through to the
-                // successor stint below and turns the wait into run-ahead.
-                progressed |= self.try_advance(head);
-            }
-            if !progressed {
-                // No work on the head: speculate on the gated successor.
-                if let Some(slot) = self.arena.slots[(head + 1) % 2].try_read() {
-                    if slot.generation == head + 1 {
-                        let block = self.stream.block(head + 1);
-                        let worker = self.worker_over(&slot.state, &block);
-                        let (_, stint_progressed) = worker.run_stint(STINT_BUDGET, &control.failed);
-                        progressed |= stint_progressed;
-                    }
-                }
+                // worker on small hosts. Instead it turns the wait into a
+                // stint that starts at the successor.
+                progressed |= self.try_advance(head) || self.stint(head + 1).1;
             }
             if !progressed {
                 // Still nothing: see whether the source has new blocks for the
@@ -782,36 +752,64 @@ where
         self.arena.chain_metrics.record_chain_idle_ns(idle_ns);
     }
 
-    /// Starts an intermediate full-revalidation sweep on the gated successor of
-    /// `head` after new frontier publications, throttled to one sweep per
-    /// publication batch chain-wide. Purely a performance lever: it invalidates
-    /// stale run-ahead speculation early. Safety never depends on these sweeps —
-    /// only on the mandatory pre-gate-open sweep in [`try_advance`](Self::try_advance).
-    fn sweep_successor(&self, head: usize) {
-        if let Some(slot) = self.arena.slots[(head + 1) % 2].try_read() {
-            if slot.generation != head + 1
-                || slot.state.scheduler.commit_gate_open()
-                || slot.state.scheduler.execution_cursor() == 0
-            {
-                // Nothing speculated yet (or the slot already moved on): leave
-                // the publication batch unconsumed so the first stint that does
-                // run ahead gets swept against it.
-                return;
+    /// Runs blocks `first` and `first + 1` head-first: every iteration asks
+    /// block `first` for its lowest ready task and takes one of `first + 1`
+    /// only when it has none. Each block whose slot holds it (and is not being
+    /// recycled) takes part, with one [`LocationCache`] for the whole stint.
+    /// The stint ends as soon as its lowest block is done — its slot guard
+    /// must not hold up the handoff's recycle — or when neither block has a
+    /// ready task, or when the chain fails.
+    ///
+    /// Returns `(first_done, progressed)`: whether block `first` is done, and
+    /// whether the stint performed at least one task.
+    fn stint(&self, first: usize) -> (bool, bool) {
+        let guards = [first, first + 1].map(|index| {
+            self.arena.slots[index % 2]
+                .try_read()
+                .filter(|slot| slot.generation == index)
+        });
+        let blocks: Vec<_> = (first..)
+            .zip(&guards)
+            .filter_map(|(index, guard)| Some((guard.as_ref()?, self.stream.block(index))))
+            .collect();
+        let mut lanes: Vec<_> = blocks
+            .iter()
+            .map(|(slot, block)| {
+                let worker = self.worker_over(&slot.state, block);
+                (worker, RefCell::new(LocationCache::new()), 0usize)
+            })
+            .collect();
+        let mut progressed = false;
+        // Relaxed suffices: the flag only asks the stint to stop early, and
+        // `worker_loop` re-reads it before doing anything else.
+        while !lanes
+            .first()
+            .is_some_and(|(worker, ..)| worker.scheduler.done())
+            && !self.control.failed.load(Ordering::Relaxed)
+        {
+            let stepped = lanes
+                .iter_mut()
+                .any(|(worker, cache, drained_seen)| worker.step(cache, drained_seen));
+            if !stepped {
+                for (worker, ..) in &lanes {
+                    worker.metrics.record_scheduler_poll();
+                }
+                break;
             }
-            let publications = self.frontier.publications();
-            let seen = self.control.swept_publications.load(Ordering::SeqCst);
-            if publications <= seen
-                || self
-                    .control
-                    .swept_publications
-                    .compare_exchange(seen, publications, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_err()
-            {
-                return;
-            }
-            slot.state.scheduler.trigger_full_revalidation();
-            self.arena.chain_metrics.record_chain_sweep();
+            progressed = true;
         }
+        for (worker, cache, _) in &lanes {
+            let stats = cache.borrow().stats();
+            worker.metrics.record_location_cache(
+                stats.hits,
+                stats.interner_hits,
+                stats.interner_misses,
+            );
+        }
+        let first_done = guards[0]
+            .as_ref()
+            .is_some_and(|slot| slot.state.scheduler.done());
+        (first_done, progressed)
     }
 
     /// Advances the chain past completed block `head`: harvest its output,
@@ -940,8 +938,8 @@ where
 
         // Phase 3: recycle the freed slot for block `head + 2`, gated. The
         // write lock waits out any straggler stint still holding the old
-        // generation (each such stint is bounded and exits fast on the `done`
-        // scheduler); new stints check the generation and move on.
+        // generation (a stint ends at its current task once the old block is
+        // done); new stints check the generation and move on.
         if st.prepared == head + 2 {
             if let BlockStatus::Ready(next_size) = self.stream.status(head + 2) {
                 let mut slot = self.arena.slots[head % 2].write();
@@ -1165,8 +1163,9 @@ mod tests {
             .build_chain();
         let output = chain.execute_chain(&blocks, &storage).unwrap();
         assert_eq!(output.metrics.chain_blocks, 6);
-        // One mandatory pre-gate-open sweep per handoff with a successor.
-        assert!(output.metrics.chain_sweeps >= 5);
+        // Exactly one mandatory pre-gate-open sweep per handoff with a
+        // prepared successor, and no other.
+        assert_eq!(output.metrics.chain_sweeps, 5);
         assert_eq!(output.total_txns(), 6 * 12);
     }
 

@@ -79,8 +79,8 @@ pub struct ExecutionMetrics {
     /// i.e. speculation invalidated by a *predecessor* block's commits
     /// (cross-block dependency aborts).
     chain_cross_block_aborts: PaddedAtomicU64,
-    /// Full-revalidation sweeps triggered by frontier publication (including the
-    /// mandatory sweep before each gate opening).
+    /// Full-revalidation sweeps of a chained block: one before each gate
+    /// opening that follows run-ahead.
     chain_sweeps: PaddedAtomicU64,
     /// Nanoseconds workers spent idle-polling while a chain was active — the
     /// inter-block bubble a barrier-per-block executor would pay in park/unpark
@@ -230,7 +230,7 @@ impl ExecutionMetrics {
         self.chain_cross_block_aborts.increment();
     }
 
-    /// Records one frontier-driven full-revalidation sweep.
+    /// Records one pre-gate-open full-revalidation sweep.
     pub fn record_chain_sweep(&self) {
         self.chain_sweeps.increment();
     }

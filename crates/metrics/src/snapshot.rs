@@ -69,8 +69,8 @@ pub struct MetricsSnapshot {
     /// Validation aborts of transactions in a block whose commit gate was still
     /// closed — speculation invalidated by a predecessor block's commits.
     pub chain_cross_block_aborts: u64,
-    /// Frontier-driven full-revalidation sweeps (incl. the mandatory pre-gate-open
-    /// sweep per chained block).
+    /// Full-revalidation sweeps of chained blocks: one mandatory pre-gate-open
+    /// sweep per handoff to a block that ran ahead.
     pub chain_sweeps: u64,
     /// Nanoseconds workers spent idle-polling while a chain was active (the
     /// pipelined substitute for inter-block park/unpark bubbles).

@@ -41,8 +41,6 @@ pub struct FrontierOverlay<K, V> {
     entries: RwLock<HashMap<K, (u64, V)>>,
     /// Monotone publication counter; stamps start at 1 so 0 can mean "absent".
     next_stamp: AtomicU64,
-    /// Number of `publish` batches applied (diagnostics / tests).
-    publications: AtomicU64,
 }
 
 impl<K, V> Default for FrontierOverlay<K, V> {
@@ -57,7 +55,6 @@ impl<K, V> FrontierOverlay<K, V> {
         Self {
             entries: RwLock::new(HashMap::new()),
             next_stamp: AtomicU64::new(1),
-            publications: AtomicU64::new(0),
         }
     }
 }
@@ -112,7 +109,6 @@ where
             let stamp = self.next_stamp.fetch_add(1, Ordering::Relaxed);
             entries.insert(key, (stamp, value));
         }
-        self.publications.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Number of distinct keys the chain has committed so far.
@@ -123,11 +119,6 @@ where
     /// Whether no predecessor block has committed any write yet.
     pub fn is_empty(&self) -> bool {
         self.entries.read().is_empty()
-    }
-
-    /// Number of non-empty `publish` batches applied so far.
-    pub fn publications(&self) -> u64 {
-        self.publications.load(Ordering::Relaxed)
     }
 
     /// Drains the overlay into a sorted `(key, value)` list — the chain's final
@@ -183,15 +174,16 @@ mod tests {
         assert_ne!(stamp_2, stamp_b);
 
         assert_eq!(overlay.len(), 2);
-        assert_eq!(overlay.publications(), 2);
     }
 
     #[test]
     fn empty_publish_is_a_no_op() {
         let overlay: FrontierOverlay<u64, u64> = FrontierOverlay::new();
         overlay.publish(Vec::new());
-        assert_eq!(overlay.publications(), 0);
         assert!(overlay.is_empty());
+        // The empty batch consumed no stamp: the first real write gets stamp 1.
+        overlay.publish(vec![(7, 70)]);
+        assert_eq!(overlay.stamp_of(&7), 1);
     }
 
     #[test]

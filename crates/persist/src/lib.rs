@@ -7,8 +7,8 @@
 //!   checksummed frames, batched fsync) with an in-memory `key → offset`
 //!   index rebuilt on open by a replay scan. It implements the same
 //!   [`Storage`](block_stm_storage::Storage) trait as `InMemoryStorage`, so
-//!   the sequential baseline, Block-STM (ladder on or off) and Bohm all
-//!   execute directly against disk state unchanged.
+//!   the sequential baseline, Block-STM and Bohm all execute directly
+//!   against disk state unchanged.
 //! * [`WriteBehindSink`] — a [`CommitSink`](block_stm::CommitSink) that moves
 //!   durability off the critical path: commit events are batched in memory
 //!   and a background persister thread appends + fsyncs them, publishing a

@@ -74,7 +74,10 @@
 //! Every event that can invalidate `k`'s reads — a lower transaction aborting (its
 //! writes become ESTIMATEs) or re-executing (new versions, possibly at new locations)
 //! — is followed, before the responsible thread does anything else, by a cursor
-//! decrease to a target `<= k`, creating a fresh wave `w`. The decrease is a SeqCst
+//! decrease to a target `<= k`, creating a fresh wave `w`. An abort decreases the
+//! cursor *before* it makes the aborted transaction ready again: the other order
+//! lets a peer re-execute, validate and commit it, and the ladder then commit `k`
+//! on an older validation, before the decrease exists. The decrease is a SeqCst
 //! RMW on the cursor, and the invalidating stores happen before it; therefore any
 //! validation *claimed at wave `>= w`* observes the event when it re-reads, and
 //! cannot pass while `k`'s recorded reads are stale. So a *passing* validation at
@@ -87,9 +90,11 @@
 //! wave `>= w`. If `k` was validatable at that claim, `max_triggered_wave >= w > w_V`
 //! contradicts 2. If it was not, `k`'s current incarnation finished executing only
 //! after that sweep passed, so its `finish_execution` saw the cursor above `k` and
-//! either stamped `required_wave >= w` (contradicting 2) or — with the task-return
-//! optimization off — lowered the cursor below `k` again, contradicting 3 (any
-//! later re-sweep re-enters the previous cases). Hence no such `D` exists, `w_V`
+//! either stamped `required_wave >= w` (contradicting 2) or left the cursor at or
+//! below `k` — with the task-return optimization off it lowers the cursor there,
+//! and with it on it hands nothing back once a concurrent decrease has already
+//! brought the cursor back to `k` — contradicting 3 (any later re-sweep re-enters
+//! the previous cases). Hence no such `D` exists, `w_V`
 //! certifies freshness against every invalidation, and since the ladder commits in
 //! index order, all lower transactions are already committed and can never create new
 //! invalidations: `k`'s reads equal the final committed state. ∎
@@ -98,7 +103,10 @@
 //! claiming until it passes the block, and every claim either produces a validation
 //! (whose completion raises `validated_wave` to the claim's wave) or proves the
 //! transaction is mid-transition (whose completion schedules a fresh validation); the
-//! ladder therefore always advances eventually.
+//! ladder therefore always advances eventually. A hand-back's `required_wave` binds
+//! only the incarnation it was computed for: when an abort overtook it, the stale
+//! task can never validate the newer incarnation, so it leaves that incarnation's
+//! requirement alone.
 //!
 //! # Chained execution: the commit gate and the cross-block frontier
 //!
@@ -141,10 +149,10 @@
 //! `k` read exactly the final committed state of blocks `<= N`; the ladder
 //! argument above then gives, by induction over blocks, that `k`'s reads equal
 //! the state a sequential execution of the concatenated blocks would present.
-//! Publications *during* block `N`'s drain can additionally trigger
-//! intermediate sweeps — that is purely a liveness/performance measure (it
-//! re-executes doomed speculation early); soundness needs only the final,
-//! mandatory sweep-then-open ordering. ∎
+//! This sweep is the only one the chain takes per handoff. The executor runs
+//! ahead on `N+1` only when block `N` has no ready task (head-first dispatch),
+//! so little speculation goes stale before the sweep catches it, and
+//! soundness needs nothing beyond the sweep-then-open ordering. ∎
 //!
 //! The public API mirrors the paper's function names one-to-one so the correctness
 //! argument of Appendix A maps directly onto this code:

@@ -254,7 +254,7 @@ impl Scheduler {
     /// validation that predates the sweep, so stale frontier reads (caught by
     /// their stamped descriptors) can never be committed.
     pub fn trigger_full_revalidation(&self) -> Wave {
-        self.decrease_validation_idx(0)
+        self.decrease_validation_idx(0).1
     }
 
     /// Number of transactions in the block.
@@ -338,15 +338,16 @@ impl Scheduler {
     }
 
     /// `decrease_validation_idx` (Lines 103–105), wave-stamped: lowering the cursor
-    /// starts a new validation wave. Returns the wave at which transactions from
-    /// `target_idx` upward will (re-)validate — the new wave if this call lowered the
-    /// cursor, the current wave if it already was at or below the target.
-    fn decrease_validation_idx(&self, target_idx: TxnIndex) -> Wave {
+    /// starts a new validation wave. Returns the cursor this call leaves behind: the
+    /// index is `target_idx` and the wave is new if this call lowered the cursor;
+    /// otherwise both are the cursor's current position, at or below the target.
+    /// Either way, transactions from `target_idx` upward (re-)validate at that wave.
+    fn decrease_validation_idx(&self, target_idx: TxnIndex) -> (TxnIndex, Wave) {
         let mut current = self.validation_idx.load(Ordering::SeqCst);
         loop {
             let (idx, wave) = unpack_cursor(current);
             if idx <= target_idx {
-                return wave;
+                return (idx, wave);
             }
             match self.validation_idx.compare_exchange(
                 current,
@@ -354,7 +355,7 @@ impl Scheduler {
                 Ordering::SeqCst,
                 Ordering::SeqCst,
             ) {
-                Ok(_) => return wave + 1,
+                Ok(_) => return (target_idx, wave + 1),
                 Err(observed) => current = observed,
             }
         }
@@ -637,19 +638,34 @@ impl Scheduler {
         if validation_idx > txn_idx {
             // Higher transactions have already been (or are being) validated against a
             // state that did not include this incarnation's writes.
-            if self.task_return_optimization {
-                let wave = if wrote_new_path {
+            if !self.task_return_optimization {
+                // Optimization disabled: route everything through the shared cursor.
+                self.decrease_validation_idx(txn_idx);
+            } else {
+                let (cursor_idx, wave) = if wrote_new_path {
                     // Re-validate the whole suffix on a fresh wave; this
                     // transaction itself is covered by the task handed back.
                     self.decrease_validation_idx(txn_idx + 1)
                 } else {
-                    current_wave
+                    (validation_idx, current_wave)
                 };
-                self.txn_status[txn_idx].lock().required_wave = wave;
-                return Some(Task::validation(Version::new(txn_idx, incarnation), wave));
+                // Hand back only while this wave's sweep is past the transaction.
+                // A concurrent decrease may have brought the cursor back to it:
+                // that sweep claims it (executed now) at this same wave, and a
+                // handed-back pass at that wave would let the ladder commit it
+                // before the sweep catches invalidations that raise no new wave.
+                if cursor_idx > txn_idx {
+                    let mut entry = self.txn_status[txn_idx].lock();
+                    // A validation may have aborted this incarnation since it was
+                    // marked executed; the handed-back task is then stale, and its
+                    // wave must not bind the newer incarnation, which no validation
+                    // at that wave would ever reach.
+                    if entry.incarnation == incarnation {
+                        entry.required_wave = wave;
+                    }
+                    return Some(Task::validation(Version::new(txn_idx, incarnation), wave));
+                }
             }
-            // Optimization disabled: route everything through the shared cursor.
-            self.decrease_validation_idx(txn_idx);
         }
         self.num_active_tasks.decrement();
         None
@@ -682,8 +698,12 @@ impl Scheduler {
         aborted: bool,
     ) -> Option<Task> {
         if aborted {
-            self.set_ready_status(txn_idx);
+            // Decrease first: once the transaction is ready again another worker
+            // may re-execute, validate and commit it, and the ladder would then
+            // commit higher transactions against validations that predate this
+            // abort unless the fresh wave already covers them.
             self.decrease_validation_idx(txn_idx + 1);
+            self.set_ready_status(txn_idx);
             if self.execution_idx.load() > txn_idx {
                 if self.task_return_optimization {
                     if let Some(version) = self.try_incarnate(txn_idx) {
@@ -940,7 +960,7 @@ mod tests {
         assert_eq!(v1, Task::validation(Version::new(1, 0), 0));
         // ... but before it reports, something lowers the cursor (as a lower txn's
         // re-execution with a new write path would).
-        assert_eq!(scheduler.decrease_validation_idx(1), 1);
+        assert_eq!(scheduler.decrease_validation_idx(1), (1, 1));
         // The wave-0 pass is recorded but does not commit: max_triggered_wave will
         // reach 1 when the new sweep claims txn 1.
         let v1_swept = claim(&scheduler);

@@ -4,8 +4,8 @@
 //! monotonicity, exact fee routing) that hold even if every engine shared a
 //! bug.
 //!
-//! The battery runs Block-STM with the rolling commit ladder on and off at
-//! 1–8 threads, the sequential baseline, Bohm (on delta-free blocks), the
+//! The battery runs Block-STM with the rolling commit ladder at 1–8 threads,
+//! the sequential baseline, Bohm (on delta-free blocks), the
 //! adaptive dispatcher (organic plus every decision path forced via builder
 //! knobs, including the mid-block sequential fallback) and LiTM (checked for
 //! thread-count determinism and oracle compliance on its own serialization,
